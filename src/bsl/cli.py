@@ -11,6 +11,7 @@ plotdata input.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -18,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, diagrams, geometry, lab
-from .eigen import ConvergenceFailure
+from .eigen import ConvergenceFailure, TooManyModes
 from .geometry import NotCohomogeneityOne, _atomic_write_text
 from .sturm import assemble
 
@@ -33,10 +34,14 @@ def _threads():
         return None
 
 
+_GRID_MAX = 65536
+
+
 def _grid_type(s: str) -> int:
     n = int(s)
-    if n < 64 or n & (n - 1) != 0:
-        raise argparse.ArgumentTypeError("grid must be a power of two >= 64")
+    if n < 64 or n > _GRID_MAX or n & (n - 1) != 0:
+        raise argparse.ArgumentTypeError(
+            f"grid must be a power of two from 64 to {_GRID_MAX}")
     return n
 
 
@@ -45,6 +50,20 @@ def _modes_type(s: str) -> int:
     if not 1 <= k <= 64:
         raise argparse.ArgumentTypeError("modes must be between 1 and 64")
     return k
+
+
+def _samples_type(s: str) -> int:
+    k = int(s)
+    if k < 1:
+        raise argparse.ArgumentTypeError("samples must be at least 1")
+    return k
+
+
+def _tolerance_type(s: str) -> float:
+    tol = float(s)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
+    return tol
 
 
 def _side_type(s: str) -> str:
@@ -361,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="compare the two quotient spectra")
     common(sp)
     sp.add_argument("--expect", choices=("isospectral", "nonisospectral"))
-    sp.add_argument("--tolerance", type=float)
+    sp.add_argument("--tolerance", type=_tolerance_type)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("warp", help="vertical warp-break schedule")
@@ -372,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="exact checks of the diagram actions")
     sp.add_argument("--diagram", required=True, choices=diagrams.CATALOG_IDS)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_samples_type, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json",), default="json")
     sp.add_argument("--out")
@@ -398,7 +417,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except NotCohomogeneityOne as exc:
+    except (NotCohomogeneityOne, TooManyModes) as exc:
         print(f"bsl: {exc}", file=sys.stderr)
         return 2
     except ConvergenceFailure as exc:

@@ -1,13 +1,23 @@
-"""Self-contained eigensolver for the assembled tridiagonal pencils.
+"""Eigensolver for the assembled tridiagonal pencils.
 
 The generalised problem A u = lambda B u is symmetrised to a single
 tridiagonal matrix C = B^(-1/2) A B^(-1/2).  A collapsing endpoint
 carries vanishing weight, so its node is folded into the neighbour
 before symmetrising and eigenvectors are expanded back afterwards
-(constant extension, matching the zero-flux end).  Eigenvalues come
-from bisection on Sturm sign counts, eigenvectors from shifted inverse
-iteration with a partially pivoted tridiagonal solve.  No black-box
-eigenroutine is used here; the dense cross-check lives in the tests.
+(constant extension, matching the zero-flux end).  Eigenpairs of C come
+from LAPACK's tridiagonal bisection and inverse iteration (?stebz and
+?stein through scipy.linalg.eigh_tridiagonal).
+
+Every returned pair is certified by its normwise backward error
+
+    eta = ||C v - lambda v|| / ((||C|| + |lambda|) ||v||) <= 64 eps,
+
+with ||C|| the largest absolute row sum, which bounds the 2-norm.  A
+fixed relative residual cannot serve as the certificate on fine grids:
+||C|| grows like n^2, and already storing an exact eigenvector in
+double precision leaves a residual near eps ||C||.  Where the pencil
+residual ||A u - lambda B u|| <= 1e-9 ||B u|| is attainable (grids up to
+1024) it is required as well.  The dense cross-check lives in the tests.
 """
 
 from dataclasses import dataclass
@@ -16,14 +26,18 @@ import numpy as np
 
 from .sturm import DiscreteOperator, apply_stiffness, zero_mean_project
 
-_BISECT_REL = 1e-12
+_BACKWARD_C = 64.0          # backward-error bound in units of eps; tests
+                            # shrink it to force the failure path
 _RESIDUAL_REL = 1e-9
-_INVERSE_ITER_CAP = 10     # tests shrink this to force the failure path
-_MAX_SWEEPS = 120
+_RESIDUAL_MAX_N = 1024      # finest grid on which _RESIDUAL_REL is attainable
 
 
 class ConvergenceFailure(RuntimeError):
-    """Bisection or inverse iteration did not reach its tolerance."""
+    """An eigenpair could not be computed to its certificate."""
+
+
+class TooManyModes(ValueError):
+    """More modes requested than the condensed grid holds."""
 
 
 class ZeroVector(ValueError):
@@ -50,6 +64,13 @@ class BasicSpectrum:
         return np.asarray(out, dtype=float)
 
 
+def _span(op: DiscreteOperator):
+    """First and last node kept by the condensation."""
+    lo = 1 if op.endpoints[0] == "collapsing" else 0
+    hi = op.n - 1 if op.endpoints[1] == "collapsing" else op.n
+    return lo, hi
+
+
 def condensed(op: DiscreteOperator):
     """Fold collapsing-end nodes into their neighbours.
 
@@ -58,8 +79,7 @@ def condensed(op: DiscreteOperator):
     mass moves inward, so A_c @ 1 still vanishes and B-norms of expanded
     vectors match the full grid exactly.
     """
-    lo = 1 if op.endpoints[0] == "collapsing" else 0
-    hi = op.n - 1 if op.endpoints[1] == "collapsing" else op.n
+    lo, hi = _span(op)
     if hi - lo + 1 < 3:
         raise ValueError("grid too small to condense")
     d = op.diag[lo:hi + 1].copy()
@@ -78,8 +98,7 @@ def condensed(op: DiscreteOperator):
 
 def _expand(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     """Undo the condensation by constant extension at folded ends."""
-    lo = 1 if op.endpoints[0] == "collapsing" else 0
-    hi = op.n - 1 if op.endpoints[1] == "collapsing" else op.n
+    lo, hi = _span(op)
     u = np.empty(op.n + 1)
     u[lo:hi + 1] = v
     if lo == 1:
@@ -87,77 +106,6 @@ def _expand(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     if hi == op.n - 1:
         u[-1] = v[-1]
     return u
-
-
-def _sturm_counts(cd: np.ndarray, ce2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of C strictly below each shift in xs."""
-    pivmin = max(np.max(ce2), 1.0) * 1e-305
-    dx = cd[:, None] - xs[None, :]
-    q = dx[0].copy()
-    np.minimum(q, -pivmin, out=q, where=(q <= pivmin))
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, cd.size):
-        q = dx[i] - ce2[i - 1] / q
-        np.minimum(q, -pivmin, out=q, where=(q <= pivmin))
-        count += q < 0.0
-    return count
-
-
-def _bisect(cd: np.ndarray, ce: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Eigenvalues of C at the given 1-based ranks, to relative 1e-12."""
-    ce2 = ce * ce
-    rad = np.zeros(cd.size)
-    rad[:-1] += np.abs(ce)
-    rad[1:] += np.abs(ce)
-    lo = float(np.min(cd - rad))
-    hi = float(np.max(cd + rad))
-    los = np.full(ranks.size, lo)
-    his = np.full(ranks.size, hi)
-    for _ in range(_MAX_SWEEPS):
-        mids = 0.5 * (los + his)
-        below = _sturm_counts(cd, ce2, mids) >= ranks
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
-        tol = _BISECT_REL * np.maximum(np.abs(los), np.abs(his)) + 1e-300
-        if np.all(his - los <= tol):
-            return 0.5 * (los + his)
-    raise ConvergenceFailure("bisection failed to close its brackets")
-
-
-def _solve_shifted(d0: np.ndarray, e: np.ndarray, shift: float,
-                   rhs: np.ndarray) -> np.ndarray:
-    """Solve (C - shift I) y = rhs by tridiagonal LU with partial pivoting."""
-    m = d0.size
-    d = d0 - shift
-    u1 = np.zeros(m)
-    u1[:m - 1] = e
-    u2 = np.zeros(m)
-    sub = np.zeros(m)
-    sub[1:] = e
-    v = np.array(rhs, dtype=float)
-    tiny = 1e-300
-    for i in range(m - 1):
-        if abs(sub[i + 1]) > abs(d[i]):
-            d[i], sub[i + 1] = sub[i + 1], d[i]
-            u1[i], d[i + 1] = d[i + 1], u1[i]
-            u2[i], u1[i + 1] = u1[i + 1], u2[i]
-            v[i], v[i + 1] = v[i + 1], v[i]
-        piv = d[i]
-        if piv == 0.0:
-            piv = tiny
-            d[i] = piv
-        f = sub[i + 1] / piv
-        d[i + 1] -= f * u1[i]
-        u1[i + 1] -= f * u2[i]
-        v[i + 1] -= f * v[i]
-    if d[-1] == 0.0:
-        d[-1] = tiny
-    y = np.empty(m)
-    y[-1] = v[-1] / d[-1]
-    y[-2] = (v[-2] - u1[-2] * y[-1]) / d[-2]
-    for i in range(m - 3, -1, -1):
-        y[i] = (v[i] - u1[i] * y[i + 1] - u2[i] * y[i + 2]) / d[i]
-    return y
 
 
 def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,42 +120,33 @@ def eigenpairs(op: DiscreteOperator, k: int):
 
     Vectors are B-orthonormal (u^T B u = 1, degenerate clusters
     Gram-Schmidt'ed in the B inner product) and signed positive at their
-    largest-magnitude node.  Raises ConvergenceFailure if any pencil
-    residual ||A u - lambda B u|| exceeds 1e-9 ||B u||.
+    largest-magnitude node.  Raises TooManyModes if the grid cannot hold
+    k nonzero modes, and ConvergenceFailure if a pair misses its
+    certificate: backward error above 64 eps, or, on grids up to 1024,
+    pencil residual ||A u - lambda B u|| above 1e-9 ||B u||.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if k < 1:
         raise ValueError("need at least one mode")
     d, e, b = condensed(op)
     if k + 1 >= d.size:
-        raise ValueError("requested more modes than the condensed grid holds")
+        raise TooManyModes(
+            "%d modes requested; the grid n=%d (side %s) holds at most %d"
+            % (k, op.n, op.side, d.size - 2))
     sb = np.sqrt(b)
     cd = d / b
     ce = e / (sb[:-1] * sb[1:])
-    # rank 1 is the constant kernel mode; start at the first nonzero one
-    ranks = np.arange(2, k + 2, dtype=np.int64)
-    lams = _bisect(cd, ce, ranks)
-
-    rng = np.random.default_rng(12345)
-    scale = float(np.max(np.abs(cd)) + 2.0 * np.max(np.abs(ce)))
+    where = "(n=%d, side %s)" % (op.n, op.side)
+    try:
+        # index 0 is the constant kernel mode; start at the first nonzero one
+        lams, vs = eigh_tridiagonal(cd, ce, select="i", select_range=(1, k))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(
+            "LAPACK tridiagonal solve failed for modes 1-%d %s: %s" % (k, where, exc))
     vecs = np.empty((op.n + 1, k))
-    for j, lam in enumerate(lams):
-        shift = lam + max(abs(lam), scale * 1e-16) * 1e-11
-        v = rng.standard_normal(cd.size)
-        v /= np.linalg.norm(v)
-        ok = False
-        for _ in range(_INVERSE_ITER_CAP):
-            v = _solve_shifted(cd, ce, shift, v)
-            v /= np.linalg.norm(v)
-            # residual of the condensed pencil, with a 2x safety margin
-            # against the final full-grid certification below
-            r = sb * (_tridiag_matvec(cd, ce, v) - lam * v)
-            if np.linalg.norm(r) <= 0.5 * _RESIDUAL_REL * np.linalg.norm(sb * v):
-                ok = True
-                break
-        if not ok:
-            raise ConvergenceFailure(
-                "inverse iteration stalled at mode %d (side %s)" % (j + 1, op.side))
-        vecs[:, j] = _expand(op, v / sb)
+    for j in range(k):
+        vecs[:, j] = _expand(op, vs[:, j] / sb)
 
     # B-orthonormalise near-degenerate clusters so multiplicities are clean
     groups = _cluster(lams)
@@ -220,9 +159,15 @@ def eigenpairs(op: DiscreteOperator, k: int):
                 vecs[:, ja] = vecs[:, ja] - coef * vecs[:, jc]
             nrm = np.sqrt(vecs[:, ja] @ (op.mass * vecs[:, ja]))
             if nrm <= 0.0:
-                raise ConvergenceFailure("degenerate cluster collapsed")
+                raise ConvergenceFailure(
+                    "B-norm %.3e <= 0 after orthogonalising mode %d against "
+                    "its cluster %s" % (nrm, ja + 1, where))
             vecs[:, ja] /= nrm
 
+    # largest absolute row sum of C
+    cnorm = float(np.max(_tridiag_matvec(np.abs(cd), np.abs(ce), np.ones(cd.size))))
+    eta_max = _BACKWARD_C * np.finfo(float).eps
+    lo, hi = _span(op)
     for j in range(k):
         u = vecs[:, j]
         nrm = np.sqrt(u @ (op.mass * u))
@@ -230,11 +175,21 @@ def eigenpairs(op: DiscreteOperator, k: int):
         if u[np.argmax(np.abs(u))] < 0.0:
             u = -u
         vecs[:, j] = u
-        bu = op.mass * u
-        resid = np.linalg.norm(apply_stiffness(op, u) - lams[j] * bu)
-        if resid > _RESIDUAL_REL * np.linalg.norm(bu):
+        v = sb * u[lo:hi + 1]
+        r = _tridiag_matvec(cd, ce, v) - lams[j] * v
+        eta = np.linalg.norm(r) / ((cnorm + abs(lams[j])) * np.linalg.norm(v))
+        if eta > eta_max:
             raise ConvergenceFailure(
-                "pencil residual %.3e too large at mode %d" % (resid, j + 1))
+                "backward error %.3e exceeds %.3e (%g eps) at mode %d %s"
+                % (eta, eta_max, _BACKWARD_C, j + 1, where))
+        if op.n <= _RESIDUAL_MAX_N:
+            bu = op.mass * u
+            resid = np.linalg.norm(apply_stiffness(op, u) - lams[j] * bu)
+            rel = resid / np.linalg.norm(bu)
+            if rel > _RESIDUAL_REL:
+                raise ConvergenceFailure(
+                    "relative pencil residual %.3e exceeds %.0e at mode %d %s"
+                    % (rel, _RESIDUAL_REL, j + 1, where))
     return lams, vecs
 
 

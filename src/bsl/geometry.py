@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .algebra import haar_rule
 from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES
@@ -38,6 +37,10 @@ from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES
 SIDES = ("P", "M", "Mprime")
 
 _SIDE_ALIASES = {"p": "P", "m": "M", "mprime": "Mprime", "m'": "Mprime"}
+
+# nodes per block of the P-side profile: its torus arrays hold
+# nodes x order^2 points, so unblocked they grow with the grid
+_P_BLOCK = 1024
 
 _DEFAULTS = {
     "hopf": (0.5, 0.25),
@@ -328,8 +331,8 @@ def kaluza_klein(d, radius: Optional[float] = None,
     r0, q0 = _DEFAULTS[eid]
     r = r0 if radius is None else float(radius)
     q = q0 if fiber_scale is None else float(fiber_scale)
-    if not (r > 0.0) or not (q > 0.0):
-        raise ValueError("radius and fiber scale must be positive")
+    if not (0.0 < r < math.inf) or not (0.0 < q < math.inf):
+        raise ValueError("radius and fiber scale must be positive and finite")
     if eid == "trivial-s2" and q <= r * r:
         raise ValueError(
             "the trivial-s2 connection keeps star orbits at constant length "
@@ -361,6 +364,8 @@ def orbit_space_length(m: MetricSpec) -> float:
 def _warp_factor(m: MetricSpec, t):
     if m.warp_u is None:
         return np.ones_like(np.asarray(t, dtype=float))
+    from scipy.interpolate import CubicSpline
+
     L = orbit_space_length(m)
     spline = CubicSpline(np.linspace(0.0, L, m.warp_u.size), m.warp_u)
     return np.exp(2.0 * m.warp_scale * spline(np.clip(t, 0.0, L)))
@@ -417,10 +422,13 @@ def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> Orbi
         jac = np.sqrt(np.maximum(a_ww - a_wz * a_wz / a_zz, 0.0))
         w = jac @ wts
     else:
-        pushed = geom.push_torus(m, geom.curve_P(m, t), angles)
-        a_ww, a_wz, a_zz = geom.gram(m, pushed)
-        jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
-        w = np.einsum("ijk,j,k->i", jac, wts, wts)
+        w = np.empty(n + 1)
+        for lo in range(0, n + 1, _P_BLOCK):
+            block = slice(lo, lo + _P_BLOCK)
+            pushed = geom.push_torus(m, geom.curve_P(m, t[block]), angles)
+            a_ww, a_wz, a_zz = geom.gram(m, pushed)
+            jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
+            w[block] = np.einsum("ijk,j,k->i", jac, wts, wts)
 
     # the endpoint orbits collapse, so their volume is exactly zero; the
     # formulas above only reach 0 up to cancellation noise under a warp

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import bsl.eigen as eigen
 from bsl import __version__
 from bsl.cli import main
 
@@ -97,6 +100,51 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["spectrum", "--diagram", "unknown"]) == 2
     assert main(["spectrum"]) == 2
     assert main([]) == 2
+    assert main(["spectrum", "--diagram", "hopf", "--grid", "131072"]) == 2
+    assert main(["verify", "--diagram", "gm", "--samples", "0"]) == 2
+    assert main(["verify", "--diagram", "gm", "--samples", "-5"]) == 2
+    for tol in ("-1", "nan", "inf"):
+        assert main(["compare", "--diagram", "hopf", "--grid", "64",
+                     "--tolerance", tol]) == 2
+
+
+def test_modes_beyond_the_coarse_grid_exit_2(capsys):
+    # the n/2 grid of the Richardson pair holds n/2 - 3 nonzero modes
+    assert main(["spectrum", "--diagram", "hopf", "--grid", "64",
+                 "--modes", "64"]) == 2
+    assert "holds at most 29" in capsys.readouterr().err
+    assert main(["warp", "--diagram", "hopf", "--grid", "64", "--modes", "30",
+                 "--scales", "1"]) == 2
+
+
+def test_solver_failure_exits_3_with_numbers(capsys, monkeypatch):
+    monkeypatch.setattr(eigen, "_BACKWARD_C", 0.0)
+    assert main(["spectrum", "--diagram", "hopf", "--grid", "64"]) == 3
+    err = capsys.readouterr().err
+    assert "backward error" in err and "mode 1 (n=32, side M)" in err
+
+
+@pytest.mark.parametrize("grid", [2048, 8192, 65536])
+def test_fine_grids_are_certified(tmp_path, grid):
+    for diagram, scale in (("hopf", 4.0), ("trivial-s2", 1.0)):
+        rc, doc, _ = run_json(tmp_path, f"{diagram}.json",
+                              ["spectrum", "--diagram", diagram, "--side", "M",
+                               "--grid", str(grid), "--modes", "5"])
+        assert rc == 0
+        lams = [m["lambda"] for m in doc["result"]["modes"]]
+        exact = [scale * l * (l + 1) for l in range(1, 6)]
+        assert len(lams) == 5
+        for lam, ref in zip(lams, exact):
+            assert abs(lam - ref) <= 1e-6 * ref, (diagram, grid, lam)
+
+
+def test_launch_imports_no_scipy():
+    # scipy is loaded only by a solve or a warp, not by every launch
+    code = ("import sys, bsl, bsl.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

@@ -1,4 +1,5 @@
-"""Bisection/inverse-iteration eigensolver against exact and dense oracles."""
+"""LAPACK tridiagonal eigensolver against exact and dense oracles, and its
+backward-error certificate on every side up to the finest grid."""
 
 import math
 
@@ -12,6 +13,7 @@ from bsl.eigen import (
     BasicSpectrum,
     ConvergenceFailure,
     FingerprintMismatch,
+    TooManyModes,
     ZeroVector,
     condensed,
     eigenpairs,
@@ -144,10 +146,51 @@ def test_extrapolate_validates_inputs():
         extrapolate(c, fo)
 
 
-def test_inverse_iteration_failure_is_reported(monkeypatch):
-    monkeypatch.setattr(eigen, "_INVERSE_ITER_CAP", 0)
-    with pytest.raises(ConvergenceFailure):
-        eigenpairs(hopf_operator(128), 1)
+def test_certificate_failure_is_reported(monkeypatch):
+    # an unattainable bound on either gate must raise, naming the grid,
+    # side, mode, achieved value and bound
+    op = hopf_operator(128)
+    with monkeypatch.context() as mp:
+        mp.setattr(eigen, "_BACKWARD_C", 0.0)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"backward error .* exceeds 0\.000e\+00 \(0 eps\) "
+                                 r"at mode 1 \(n=128, side M\)"):
+            eigenpairs(op, 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(eigen, "_RESIDUAL_REL", 1e-20)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"relative pencil residual .* exceeds 1e-20 "
+                                 r"at mode 1 \(n=128, side M\)"):
+            eigenpairs(op, 1)
+
+
+def backward_error(op, lam, u):
+    """eta of a pair of the condensed symmetric matrix, built here from the
+    condensed pencil without the package's own helpers."""
+    d, e, b = condensed(op)
+    sb = np.sqrt(b)
+    cd = d / b
+    ce = e / (sb[:-1] * sb[1:])
+    v = sb * u[1:-1]
+    cv = cd * v
+    cv[:-1] += ce * v[1:]
+    cv[1:] += ce * v[:-1]
+    rows = np.abs(cd) + np.r_[np.abs(ce), 0.0] + np.r_[0.0, np.abs(ce)]
+    cnorm = np.max(rows)
+    return np.linalg.norm(cv - lam * v) / ((cnorm + abs(lam)) * np.linalg.norm(v))
+
+
+def test_backward_error_certificate_up_to_the_finest_grid():
+    bound = eigen._BACKWARD_C * np.finfo(float).eps
+    for eid in ("trivial-s2", "hopf"):
+        m = kaluza_klein(catalog(eid))
+        for side in ("M", "Mprime", "P"):
+            for n in (2048, 65536):
+                op = assemble(orbit_profile(m, side, n))
+                lams, vecs = eigenpairs(op, 5)
+                for j in range(5):
+                    eta = backward_error(op, lams[j], vecs[:, j])
+                    assert eta <= bound, (eid, side, n, j, eta)
 
 
 def test_group_modes_merges_close_values():
@@ -177,3 +220,7 @@ def test_eigenpairs_validates_requests():
         eigenpairs(op, 0)
     with pytest.raises(ValueError):
         eigenpairs(op, op.n + 5)
+    # both collapsing ends fold away, and the kernel mode takes one more
+    eigenpairs(op, op.n - 3)
+    with pytest.raises(TooManyModes, match=r"holds at most 125"):
+        eigenpairs(op, op.n - 2)

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+import bsl.geometry as geometry
+from bsl.algebra import haar_rule
 from bsl.diagrams import catalog
 from bsl.geometry import (
     GridMismatch,
@@ -88,6 +90,25 @@ def test_zero_scale_warp_is_bitwise_inert():
             assert np.array_equal(w0, w1), (eid, side)
 
 
+def test_blocked_p_profile_matches_one_einsum():
+    # several full blocks plus a remainder, warped and unwarped
+    n = 2 * geometry._P_BLOCK + 500
+    u = np.sin(np.linspace(0.0, 3.0, 33))
+    rule = haar_rule("s1", 8)
+    angles = np.array([g.data for g in rule.nodes])
+    for eid in ("trivial-s2", "hopf"):
+        m = kaluza_klein(catalog(eid))
+        for metric in (m, warp(m, u, 0.7)):
+            geom = geometry._geom(metric)
+            t = np.linspace(0.0, orbit_space_length(metric), n + 1)
+            pushed = geom.push_torus(metric, geom.curve_P(metric, t), angles)
+            a_ww, a_wz, a_zz = geom.gram(metric, pushed)
+            jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
+            ref = np.einsum("ijk,j,k->i", jac, rule.weights, rule.weights)
+            ref[0] = ref[-1] = 0.0
+            assert np.array_equal(orbit_profile(metric, "P", n).w, ref), eid
+
+
 def test_warp_never_touches_the_bullet_quotient():
     rng = np.random.default_rng(14)
     u = rng.standard_normal(65)
@@ -163,6 +184,11 @@ def test_metric_defaults_and_validation():
         kaluza_klein("hopf", radius=0.0)
     with pytest.raises(ValueError):
         kaluza_klein("hopf", fiber_scale=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            kaluza_klein("hopf", radius=bad)
+        with pytest.raises(ValueError):
+            kaluza_klein("trivial-s2", fiber_scale=bad)
     # the product entry needs enough fiber to keep its connection real
     with pytest.raises(ValueError):
         kaluza_klein("trivial-s2", radius=1.0, fiber_scale=0.5)
