@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * Quaternions are Hamilton quaternions w + x*i + y*j + z*k stored as four
-  doubles, with i*j = k.  Identifying C^2 with the quaternions via
-  q = z1 + z2*j, the circle subgroup {exp(i*theta)} acts by complex
+  components (floats, or arrays for a batch), with i*j = k.  Identifying
+  C^2 with the quaternions via q = z1 + z2*j, the circle subgroup {exp(i*theta)} acts by complex
   multiplication on both legs.
 * Group elements form a tagged union over the three groups the catalog
   needs: the circle "s1" (stored as an angle in [0, 2pi)), unit
@@ -40,6 +40,10 @@ class UnsupportedGroup(ValueError):
 
 @dataclass(frozen=True)
 class Quaternion:
+    """w + x*i + y*j + z*k with float components, or a batch held as a
+    struct of arrays: components may mix floats and arrays that broadcast
+    together, and every operation then acts on the whole batch."""
+
     w: float = 0.0
     x: float = 0.0
     y: float = 0.0
@@ -71,12 +75,13 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self):
-        return math.sqrt(self.w * self.w + self.x * self.x
-                         + self.y * self.y + self.z * self.z)
+        sq = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        return math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
 
     def normalized(self):
         n = self.norm()
-        if n == 0.0:
+        zero = not n.all() if isinstance(n, np.ndarray) else n == 0.0
+        if zero:
             raise ZeroDivisionError("cannot normalise the zero quaternion")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
@@ -104,13 +109,16 @@ def quat_mul(p, q):
     )
 
 
-def quat_conj(q):
-    return q.conj()
+def quat_dot(p, q):
+    """Euclidean inner product of the coefficient vectors, Re(p*conj(q))."""
+    return p.w * q.w + p.x * q.x + p.y * q.y + p.z * q.z
 
 
 def circle_quat(theta):
-    """The unit quaternion cos(theta) + sin(theta)*i."""
-    return Quaternion(math.cos(theta), math.sin(theta), 0.0, 0.0)
+    """The unit quaternion cos(theta) + sin(theta)*i, for an angle or an
+    array of angles."""
+    trig = np if isinstance(theta, np.ndarray) else math
+    return Quaternion(trig.cos(theta), trig.sin(theta), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +224,24 @@ def group_inverse(g):
     return GroupElement("sp2", ((a.conj(), b.conj()), (c.conj(), d.conj())))
 
 
+def payload_distance(group, a, b):
+    """Euclidean distance between two payloads of one group in the
+    ambient embedding (an angle as a point of the unit circle)."""
+    if group == "s1":
+        return math.hypot(math.cos(a) - math.cos(b), math.sin(a) - math.sin(b))
+    if group == "s3":
+        return (a - b).norm()
+    (a1, c1), (b1, d1) = a
+    (a2, c2), (b2, d2) = b
+    return math.sqrt((a1 - a2).norm() ** 2 + (c1 - c2).norm() ** 2
+                     + (b1 - b2).norm() ** 2 + (d1 - d2).norm() ** 2)
+
+
 def element_distance(g, h):
     """Euclidean distance between payloads in the ambient embedding."""
     if g.group != h.group:
         raise GroupMismatch(f"cannot compare {g.group!r} with {h.group!r}")
-    if g.group == "s1":
-        return math.hypot(math.cos(g.data) - math.cos(h.data),
-                          math.sin(g.data) - math.sin(h.data))
-    if g.group == "s3":
-        return (g.data - h.data).norm()
-    ga, gc, gb, gd = sp2_rows(g.data)
-    ha, hc, hb, hd = sp2_rows(h.data)
-    return math.sqrt((ga - ha).norm() ** 2 + (gc - hc).norm() ** 2
-                     + (gb - hb).norm() ** 2 + (gd - hd).norm() ** 2)
+    return payload_distance(g.group, g.data, h.data)
 
 
 def random_element(group, rng):

@@ -2,11 +2,10 @@
 
 Subcommands: catalog, spectrum, compare, warp, verify, plotdata.  Every
 JSON output is a versioned envelope {schema, tool, version, command,
-config, result} written atomically, with the RNG seed and the
-BSL_THREADS cap echoed in config so identical configurations produce
-byte-identical files.  Exit codes: 0 success, 2 usage or unsupported
-diagram, 3 solver failure, 4 failed --expect assertion, 5 malformed
-plotdata input.
+config, result} written atomically, with the RNG seed echoed in config
+so identical configurations produce byte-identical files.  Exit codes:
+0 success, 2 usage or unsupported diagram, 3 solver failure, 4 failed
+--expect assertion, 5 malformed plotdata input.
 """
 
 import argparse
@@ -21,18 +20,6 @@ import numpy as np
 from . import __version__, diagrams, geometry, lab
 from .eigen import ConvergenceFailure, TooManyModes
 from .geometry import NotCohomogeneityOne, _atomic_write_text
-from .sturm import assemble
-
-
-def _threads():
-    raw = os.environ.get("BSL_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
 
 _GRID_MAX = 65536
 
@@ -85,6 +72,15 @@ def _scales_type(s: str):
     return vals
 
 
+def _out_path(s: str) -> str:
+    # checked before any work: a missing directory would otherwise fail
+    # only at the final write, after the whole solve
+    parent = os.path.dirname(os.path.abspath(s))
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
+    return s
+
+
 def _emit(args, command: str, config: dict, result, csv_text=None) -> int:
     if getattr(args, "format", "json") == "csv" and csv_text is not None:
         payload = csv_text
@@ -92,16 +88,19 @@ def _emit(args, command: str, config: dict, result, csv_text=None) -> int:
         doc = {"schema": 1, "tool": "bsl", "version": __version__,
                "command": command, "config": config, "result": result}
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        _atomic_write_text(out, payload)
-    else:
-        sys.stdout.write(payload)
+    _write(getattr(args, "out", None), payload)
     return 0
 
 
+def _write(out, text: str):
+    if out:
+        _atomic_write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _base_config(args, **extra) -> dict:
-    cfg = {"seed": getattr(args, "seed", 0), "threads": _threads(),
+    cfg = {"seed": getattr(args, "seed", 0),
            "format": getattr(args, "format", "json"),
            "out": getattr(args, "out", None)}
     cfg.update(extra)
@@ -125,11 +124,7 @@ def cmd_catalog(args) -> int:
         lines.append(f"{r['id']:<12} group={r['group']:<4} "
                      f"cohomogeneity_one={str(r['cohomogeneity_one']).lower()}"
                      f"  {r['description']}{note}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -335,11 +330,7 @@ def cmd_plotdata(args) -> int:
         return 5
     lines = [header]
     lines.extend(f"{x!r},{y!r}" for x, y in zip(xs, ys))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     if args.svg:
         _atomic_write_text(args.svg, _svg_text(header, xs, ys))
     return 0
@@ -362,11 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modes", type=_modes_type, default=modes)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out")
+        sp.add_argument("--out", type=_out_path)
 
     sp = sub.add_parser("catalog", help="list the diagram catalog")
     sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--out")
+    sp.add_argument("--out", type=_out_path)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_catalog)
 
@@ -374,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--side", type=_side_type, default="M")
     sp.add_argument("--include-zero", action="store_true")
-    sp.add_argument("--dump-profile", metavar="CSV")
+    sp.add_argument("--dump-profile", metavar="CSV", type=_out_path)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("compare", help="compare the two quotient spectra")
@@ -394,13 +385,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_samples_type, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--out")
+    sp.add_argument("--out", type=_out_path)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("plotdata", help="CSV/SVG series from a report")
     sp.add_argument("input", help="report JSON or profile CSV")
-    sp.add_argument("--out")
-    sp.add_argument("--svg")
+    sp.add_argument("--out", type=_out_path)
+    sp.add_argument("--svg", type=_out_path)
     sp.set_defaults(func=cmd_plotdata)
 
     return p

@@ -22,17 +22,19 @@ Catalog identifiers are stable strings:
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .algebra import (
     TWO_PI,
     GroupElement,
-    Quaternion,
+    QUAT_I,
+    QUAT_J,
     QUAT_ONE,
+    Quaternion,
     circle_quat,
-    identity,
+    payload_distance,
     quat_mul,
     random_element,
     sp2_membership_defect,
@@ -68,7 +70,11 @@ class StarDiagram:
     All callables are pure.  Sections are right inverses of the matching
     projection and are used to lift quotient points; each one covers the
     whole base with a two-chart fallback where a single formula would be
-    singular.
+    singular.  On the trivial-s2 and hopf entries the actions,
+    projections, residual actions and sections also map a batch of
+    points (and of group angles) at once, with the same floating-point
+    operations as one point at a time; the orbit-volume profiles are
+    computed through them.
     """
 
     entry: CatalogEntry
@@ -100,25 +106,49 @@ class StarDiagram:
 
 
 # ---------------------------------------------------------------------------
-# shared small helpers
+# shared small helpers: a point of R^3 is a (3,) array or a (..., 3)
+# batch; one point stays on Python floats, several times faster than
+# numpy scalars
+
+
+def _coords(v):
+    """The coordinates of one point (floats) or of a batch (arrays)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return v.tolist()
+    return v[..., 0], v[..., 1], v[..., 2]
+
+
+def _vec(a, b, c):
+    """Inverse of _coords: a (3,) array, or (..., 3) for a batch."""
+    if (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            or isinstance(c, np.ndarray)):
+        return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
+    return np.array([a, b, c])
 
 
 def _rot_z(theta, x):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1], x[2]])
+    trig = np if isinstance(theta, np.ndarray) else math
+    c, s = trig.cos(theta), trig.sin(theta)
+    x0, x1, x2 = _coords(x)
+    return _vec(c * x0 - s * x1, s * x0 + c * x1, x2)
 
 
 def _pure(v):
-    return Quaternion(0.0, float(v[0]), float(v[1]), float(v[2]))
+    x, y, z = _coords(v)
+    return Quaternion(0.0, x, y, z)
 
 
 def _imag_vec(q):
-    return np.array([q.x, q.y, q.z])
+    return _vec(q.x, q.y, q.z)
 
 
-def _conj3(q, v):
-    # v -> q V conj(q) on pure-imaginary quaternions, as 3-vectors
-    return _imag_vec(quat_mul(quat_mul(q, _pure(v)), q.conj()))
+def _where(mask, a, b):
+    """Quaternion a where mask holds, else b; mask is a bool or bool array."""
+    if isinstance(mask, np.ndarray):
+        return Quaternion(np.where(mask, a.w, b.w), np.where(mask, a.x, b.x),
+                          np.where(mask, a.y, b.y), np.where(mask, a.z, b.z))
+    return a if mask else b
 
 
 def _vec_dist(a, b):
@@ -126,7 +156,7 @@ def _vec_dist(a, b):
 
 
 # ---------------------------------------------------------------------------
-# trivial product entry: P = S2 x S1
+# trivial product entry: P = S2 x S1, a point is (x, phi)
 
 
 def _triv_bullet(g, p):
@@ -148,11 +178,18 @@ def _triv_proj_star(p):
     return _rot_z(-phi, x)
 
 
+def _triv_residual(g, y):
+    # both residual actions rotate the sphere about the z axis
+    return _rot_z(g.data, y)
+
+
+def _triv_section(x):
+    x = np.asarray(x, dtype=float)
+    return (x, 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1]))
+
+
 def _triv_point_dist(p, q):
-    dx = _vec_dist(p[0], q[0])
-    dphi = math.hypot(math.cos(p[1]) - math.cos(q[1]),
-                      math.sin(p[1]) - math.sin(q[1]))
-    return math.hypot(dx, dphi)
+    return math.hypot(_vec_dist(p[0], q[0]), payload_distance("s1", p[1], q[1]))
 
 
 def _triv_random(rng):
@@ -178,41 +215,38 @@ def _hopf_star(g, p):
 
 
 def _hopf_proj_bullet(p):
-    return _imag_vec(quat_mul(quat_mul(p, Quaternion(0, 1, 0, 0)), p.conj()))
+    return _imag_vec(quat_mul(quat_mul(p, QUAT_I), p.conj()))
 
 
 def _hopf_proj_star(p):
-    return _imag_vec(quat_mul(quat_mul(p.conj(), Quaternion(0, 1, 0, 0)), p))
+    return _imag_vec(quat_mul(quat_mul(p.conj(), QUAT_I), p))
 
 
 def _hopf_residual(g, y):
     # both residual actions are conjugation by the circle element, a
     # rotation by twice the angle about the first axis
-    return _conj3(circle_quat(g.data), y)
+    q = circle_quat(g.data)
+    return _imag_vec(quat_mul(q, quat_mul(_pure(y), q.conj())))
 
 
 def _hopf_section_bullet(x):
-    # p with p i conj(p) = X; the single-chart formula degenerates at
-    # x = (-1, 0, 0), so switch charts on the lower cap
+    # p with p i conj(p) = X; 1 - X i vanishes at x = (-1, 0, 0), so the
+    # lower cap takes a second chart, chosen before normalising so no
+    # off-chart value is divided by its norm
     X = _pure(x)
-    if x[0] > -0.5:
-        return (Quaternion(1.0) - quat_mul(X, Quaternion(0, 1, 0, 0))).normalized()
-    s = (Quaternion(1.0) + quat_mul(X, Quaternion(0, 1, 0, 0))).normalized()
-    return quat_mul(s, Quaternion(0, 0, 1, 0))
+    upper = X.x > -0.5
+    xi = quat_mul(X, QUAT_I)
+    s = _where(upper, QUAT_ONE - xi, QUAT_ONE + xi).normalized()
+    return _where(upper, s, quat_mul(s, QUAT_J))
 
 
 def _hopf_section_star(y):
-    Y = _pure(y)
-    if y[0] > -0.5:
-        return (Quaternion(1.0) - quat_mul(Y, Quaternion(0, 1, 0, 0))).normalized().conj()
-    s = (Quaternion(1.0) + quat_mul(Y, Quaternion(0, 1, 0, 0))).normalized().conj()
-    return quat_mul(Quaternion(0, 0, 1, 0), s)
+    # proj_star(conj(q)) = proj_bullet(q): conjugate the bullet section
+    return _hopf_section_bullet(y).conj()
 
 
 def _hopf_random(rng):
-    v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    return Quaternion.from_array(v)
+    return random_element("s3", rng).data
 
 
 def _hopf_point_dist(p, q):
@@ -287,10 +321,7 @@ def _gm_section_star(Y):
 
 
 def _sp2_dist(A, B):
-    (a1, c1), (b1, d1) = A
-    (a2, c2), (b2, d2) = B
-    return math.sqrt((a1 - a2).norm() ** 2 + (c1 - c2).norm() ** 2
-                     + (b1 - b2).norm() ** 2 + (d1 - d2).norm() ** 2)
+    return payload_distance("sp2", A, B)
 
 
 def _gm_dist_m(p, q):
@@ -345,10 +376,10 @@ def catalog(id: str) -> StarDiagram:
             star_action=_triv_star,
             proj_bullet=_triv_proj_bullet,
             proj_star=_triv_proj_star,
-            residual_star=lambda g, y: _rot_z(g.data, y),
-            residual_bullet=lambda g, y: _rot_z(g.data, y),
-            section_bullet=lambda x: (np.asarray(x, dtype=float), 0.0),
-            section_star=lambda y: (np.asarray(y, dtype=float), 0.0),
+            residual_star=_triv_residual,
+            residual_bullet=_triv_residual,
+            section_bullet=_triv_section,
+            section_star=_triv_section,
             random_point=_triv_random,
             point_distance=_triv_point_dist,
             dist_m=_vec_dist,

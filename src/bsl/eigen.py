@@ -58,10 +58,13 @@ class BasicSpectrum:
 
     def lambdas(self) -> np.ndarray:
         """Values expanded with multiplicity, ascending."""
-        out = []
-        for lam, mult, _err in self.values:
-            out.extend([lam] * mult)
-        return np.asarray(out, dtype=float)
+        return self.expanded()[0]
+
+    def expanded(self):
+        """(values, errors), each expanded with multiplicity."""
+        v = np.array(self.values, dtype=float).reshape(-1, 3)
+        mults = v[:, 1].astype(int)
+        return np.repeat(v[:, 0], mults), np.repeat(v[:, 2], mults)
 
 
 def _span(op: DiscreteOperator):

@@ -17,8 +17,10 @@ horizontal distribution so the star orbits keep constant length, which
 needs fiber scale above r^2.
 
 Orbit-volume profiles are computed by pushing Haar quadrature nodes
-through the actions and summing metric Jacobians at the pushed points;
-the closed forms these reproduce live only in the test suite.
+through the diagram's own maps (the catalog's actions, projections,
+residual actions and sections, evaluated on whole batches) and summing
+metric Jacobians at the pushed points, so this module holds only the
+metric; the closed forms these reproduce live only in the test suite.
 """
 
 import hashlib
@@ -31,8 +33,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import haar_rule
-from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES
+from .algebra import QUAT_I, GroupElement, Quaternion, haar_rule, quat_dot, quat_mul
+from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES, _imag_vec, catalog
 
 SIDES = ("P", "M", "Mprime")
 
@@ -99,46 +101,8 @@ class OrbitProfile:
 
 
 # ---------------------------------------------------------------------------
-# array quaternion helpers (components along the last axis)
-
-
-def qmul(a, b):
-    aw, ax, ay, az = np.moveaxis(a, -1, 0)
-    bw, bx, by, bz = np.moveaxis(b, -1, 0)
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
-
-
-def qconj(a):
-    out = np.array(a, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
-    return out
-
-
-def _qnorm(a):
-    # clamped so an off-chart branch evaluated under np.where never warns
-    return a / np.maximum(np.linalg.norm(a, axis=-1, keepdims=True), 1e-300)
-
-
-_I4 = np.array([0.0, 1.0, 0.0, 0.0])
-_J4 = np.array([0.0, 0.0, 1.0, 0.0])
-_ONE4 = np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def _circle4(angles):
-    a = np.asarray(angles, dtype=float)
-    out = np.zeros(a.shape + (4,))
-    out[..., 0] = np.cos(a)
-    out[..., 1] = np.sin(a)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# per-entry geometry hooks
+# per-entry metric hooks: points, tangent vectors and curves of P are in
+# the diagram's own representation, batched
 
 
 class _HopfGeometry:
@@ -153,63 +117,27 @@ class _HopfGeometry:
 
     def curve_P(self, m, t):
         half = np.asarray(t) / (2.0 * m.radius)
-        p = np.zeros(np.shape(half) + (4,))
-        p[..., 0] = np.cos(half)
-        p[..., 2] = np.sin(half)
-        return p
-
-    def curve_M(self, m, t):
-        return self.proj_bullet(m, self.curve_P(m, t))
-
-    def curve_Mprime(self, m, t):
-        return self.proj_star(m, self.curve_P(m, t))
-
-    def proj_bullet(self, m, p):
-        return qmul(qmul(p, _I4), qconj(p))[..., 1:]
-
-    def proj_star(self, m, p):
-        return qmul(qmul(qconj(p), _I4), p)[..., 1:]
+        return Quaternion(np.cos(half), 0.0, np.sin(half), 0.0)
 
     def t_of_P(self, m, p):
-        return 2.0 * m.radius * np.arctan2(np.hypot(p[..., 2], p[..., 3]),
-                                           np.hypot(p[..., 0], p[..., 1]))
+        return 2.0 * m.radius * np.arctan2(np.hypot(p.y, p.z), np.hypot(p.w, p.x))
 
     def t_of_base(self, m, x):
         # both quotients are unit spheres with the pole on the first axis
         return m.radius * np.arctan2(np.hypot(x[..., 1], x[..., 2]), x[..., 0])
 
-    def push_base(self, m, y, angles):
-        # both residual actions act by conjugation with the circle element
-        q = _circle4(angles)
-        Y = np.zeros(y.shape[:-1] + (1, 4))
-        Y[..., 1:] = y[..., None, :]
-        return qmul(q, qmul(Y, qconj(q)))[..., 1:]
-
     def jac_M(self, m, pushed):
         return 2.0 * m.radius * np.hypot(pushed[..., 1], pushed[..., 2])
 
-    def section_star(self, m, y):
-        Y = np.zeros(y.shape[:-1] + (4,))
-        Y[..., 1:] = y
-        yi = qmul(Y, _I4)
-        prim = qconj(_qnorm(_ONE4 - yi))
-        fall = qmul(_J4, qconj(_qnorm(_ONE4 + yi)))
-        return np.where((y[..., 0] > -0.5)[..., None], prim, fall)
-
-    def push_torus(self, m, p, angles):
-        q = _circle4(angles)
-        left = qmul(q[:, None, :], p[..., None, None, :])
-        return qmul(left, qconj(q)[None, :, :])
-
     def dpi(self, m, p, v):
-        return (qmul(qmul(v, _I4), qconj(p)) + qmul(qmul(p, _I4), qconj(v)))[..., 1:]
+        return _imag_vec(quat_mul(quat_mul(v, QUAT_I), p.conj())
+                         + quat_mul(quat_mul(p, QUAT_I), v.conj()))
 
     def nu(self, m, p, v):
-        w = -qmul(p, _I4)
-        return np.sum(v * w, axis=-1)
+        return quat_dot(v, -quat_mul(p, QUAT_I))
 
     def gram(self, m, p):
-        z = qmul(_I4, p)
+        z = quat_mul(QUAT_I, p)
         nuz = self.nu(m, p, z)
         dz = self.dpi(m, p, z)
         mm = m.radius ** 2 * np.sum(dz * dz, axis=-1)
@@ -235,35 +163,12 @@ class _TrivialGeometry:
         x = np.stack([np.sin(tt), np.zeros_like(tt), np.cos(tt)], axis=-1)
         return (x, np.zeros_like(tt))
 
-    def curve_M(self, m, t):
-        return self.curve_P(m, t)[0]
-
-    def curve_Mprime(self, m, t):
-        x, phi = self.curve_P(m, t)
-        return _rot_z_arr(-phi, x)
-
-    def t_of_P(self, m, p):
-        x = p[0] if isinstance(p, tuple) else p
-        return m.radius * np.arctan2(np.hypot(x[..., 0], x[..., 1]), x[..., 2])
-
     def t_of_base(self, m, x):
-        return self.t_of_P(m, x)
-
-    def push_base(self, m, y, angles):
-        return _rot_z_arr(np.asarray(angles), y[..., None, :])
+        # a point (x, phi) of P sits at the parameter of x
+        return m.radius * np.arctan2(np.hypot(x[..., 0], x[..., 1]), x[..., 2])
 
     def jac_M(self, m, pushed):
         return m.radius * np.hypot(pushed[..., 0], pushed[..., 1])
-
-    def section_star(self, m, y):
-        return (y, np.zeros(y.shape[:-1]))
-
-    def push_torus(self, m, p, angles):
-        x, phi = p
-        th = np.asarray(angles)
-        xr = _rot_z_arr(th[:, None], x[..., None, None, :])
-        ph = phi[..., None, None] + th[:, None] - th[None, :]
-        return (np.broadcast_to(xr, ph.shape + (3,)), ph)
 
     def _nu_z(self, m, x):
         # vertical component of the star generator under the adapted
@@ -273,10 +178,10 @@ class _TrivialGeometry:
         return -np.sqrt(np.maximum(1.0 - m.radius ** 2 * s2 / m.fiber_scale, 0.0))
 
     def gram(self, m, p):
-        x = p[0] if isinstance(p, tuple) else p
+        x = p[0]
         s2 = x[..., 0] ** 2 + x[..., 1] ** 2
         nuz = self._nu_z(m, x)
-        e = _warp_factor(m, self.t_of_P(m, x))
+        e = _warp_factor(m, self.t_of_base(m, x))
         b = e * m.fiber_scale
         return (b * np.ones_like(s2), b * nuz,
                 m.radius ** 2 * s2 + b * nuz * nuz)
@@ -298,16 +203,9 @@ class _TrivialGeometry:
 
     def metric_inner(self, m, p, v, u):
         x, _ = p
-        e = _warp_factor(m, self.t_of_P(m, x))
+        e = _warp_factor(m, self.t_of_base(m, x))
         return (m.radius ** 2 * np.sum(v[0] * u[0], axis=-1)
                 + e * m.fiber_scale * self.nu(m, p, v) * self.nu(m, p, u))
-
-
-def _rot_z_arr(theta, x):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([c * x[..., 0] - s * x[..., 1],
-                     s * x[..., 0] + c * x[..., 1],
-                     np.broadcast_arrays(x[..., 2], c)[0]], axis=-1)
 
 
 _GEOMS = {"hopf": _HopfGeometry(), "trivial-s2": _TrivialGeometry()}
@@ -395,13 +293,15 @@ def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> Orbi
     """Orbit-volume weight w(t_i) on the uniform orbit-space grid.
 
     Every value is a Haar-quadrature sum of metric Jacobians at points
-    pushed through the relevant action: the residual action on a quotient
-    side, the two-sided torus action on P.  Orbit volumes count the
+    pushed through the diagram's own maps: the residual action on a
+    quotient side (lifted back to P by the star section on M'), the
+    two-sided torus action on P.  Orbit volumes count the
     parameterisation with multiplicity, so a residual action that wraps
     its orbit twice reports twice the geometric length; all ratios used
     downstream are insensitive to that convention.
     """
     geom = _geom(m)
+    d = catalog(m.entry_id)
     side = normalize_side(side)
     n = int(n)
     if n < 16:
@@ -410,22 +310,27 @@ def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> Orbi
     t = np.linspace(0.0, L, n + 1)
     rule = haar_rule("s1", haar_order)
     angles = np.array([g.data for g in rule.nodes])
+    g = GroupElement("s1", angles)
     wts = rule.weights
 
     if side == "M":
-        pushed = geom.push_base(m, geom.curve_M(m, t), angles)
-        w = geom.jac_M(m, pushed) @ wts
+        x = d.proj_bullet(geom.curve_P(m, t))
+        w = geom.jac_M(m, d.residual_star(g, x[:, None, :])) @ wts
     elif side == "Mprime":
-        pushed = geom.push_base(m, geom.curve_Mprime(m, t), angles)
-        lifts = geom.section_star(m, pushed)
+        y = d.proj_star(geom.curve_P(m, t))
+        lifts = d.section_star(d.residual_bullet(g, y[:, None, :]))
         a_ww, a_wz, a_zz = geom.gram(m, lifts)
         jac = np.sqrt(np.maximum(a_ww - a_wz * a_wz / a_zz, 0.0))
         w = jac @ wts
     else:
+        # pushed[i, j, k]: the section point at t_i moved by star angle j
+        # and bullet angle k
+        g_star = GroupElement("s1", angles[:, None])
         w = np.empty(n + 1)
         for lo in range(0, n + 1, _P_BLOCK):
             block = slice(lo, lo + _P_BLOCK)
-            pushed = geom.push_torus(m, geom.curve_P(m, t[block]), angles)
+            p = geom.curve_P(m, t[block, None, None])
+            pushed = d.star_action(g_star, d.bullet_action(g, p))
             a_ww, a_wz, a_zz = geom.gram(m, pushed)
             jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
             w[block] = np.einsum("ijk,j,k->i", jac, wts, wts)
@@ -457,20 +362,16 @@ def star_orbit_volumes(m: MetricSpec, n: int):
     return t, 2.0 * math.pi * np.sqrt(a_zz)
 
 
-def section_curve(m: MetricSpec, t):
-    return _geom(m).curve_P(m, np.asarray(t, dtype=float))
-
-
 def quotient_curve(m: MetricSpec, side: str, t):
-    """The horizontal section curve pushed to the requested side."""
-    geom = _geom(m)
+    """The horizontal section curve pushed to the requested side, in the
+    diagram's own point representation."""
+    p = _geom(m).curve_P(m, np.asarray(t, dtype=float))
     side = normalize_side(side)
-    t = np.asarray(t, dtype=float)
     if side == "M":
-        return geom.curve_M(m, t)
+        return catalog(m.entry_id).proj_bullet(p)
     if side == "Mprime":
-        return geom.curve_Mprime(m, t)
-    return geom.curve_P(m, t)
+        return catalog(m.entry_id).proj_star(p)
+    return p
 
 
 def base_parameter(m: MetricSpec, x):
@@ -479,7 +380,12 @@ def base_parameter(m: MetricSpec, x):
 
 
 def metric_inner(m: MetricSpec, p, v, u):
-    """Pointwise metric evaluation, mostly a test hook."""
+    """Pointwise metric evaluation, mostly a test hook.
+
+    p is a point of P and v, u tangent vectors there, all in the
+    diagram's representation: quaternions for hopf, (x, phi) pairs for
+    trivial-s2.
+    """
     return _geom(m).metric_inner(m, p, v, u)
 
 

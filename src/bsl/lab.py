@@ -73,14 +73,6 @@ def _check_matching(entry_id: str, m: geometry.MetricSpec):
             f"metric is for {m.entry_id!r} but the diagram is {entry_id!r}")
 
 
-def _quad(prof: geometry.OrbitProfile) -> np.ndarray:
-    """Trapezoidal quadrature weights of the profile measure."""
-    q = prof.w.copy()
-    q[0] *= 0.5
-    q[-1] *= 0.5
-    return prof.dt * q
-
-
 def _grid_ok(n: int):
     n = int(n)
     if n % 2 != 0 or n // 2 < 16:
@@ -119,14 +111,6 @@ def extrapolated_spectrum(m: geometry.MetricSpec, side: str, k: int, n: int,
     return ext
 
 
-def _flat(spec: BasicSpectrum):
-    lams, errs = [], []
-    for lam, mult, err in spec.values:
-        lams.extend([lam] * mult)
-        errs.extend([err] * mult)
-    return np.asarray(lams), np.asarray(errs)
-
-
 def compare_basic_spectra(d, m: geometry.MetricSpec, k: int, n: int) -> CompareReport:
     """Index-by-index comparison of the two quotient spectra.
 
@@ -143,8 +127,8 @@ def compare_basic_spectra(d, m: geometry.MetricSpec, k: int, n: int) -> CompareR
                               fingerprint=ext_m.fingerprint)
     else:
         ext_p, _, _ = _solve_pair(m, "Mprime", k, n)
-    lm, em = _flat(ext_m)
-    lp, ep = _flat(ext_p)
+    lm, em = ext_m.expanded()
+    lp, ep = ext_p.expanded()
     if lm.size != lp.size:
         raise RuntimeError("mode counts differ between the two sides")
     denom = np.maximum(np.maximum(np.abs(lm), np.abs(lp)), 1e-300)
@@ -177,32 +161,23 @@ def _transport_table(diag, m, u: np.ndarray, prof_mp) -> np.ndarray:
     verified to 1e-9 of the interval; the table is then reused exactly,
     so transport introduces no interpolation error.
     """
-    t = prof_mp.t
-    dt = prof_mp.dt
-    n = prof_mp.n
+    t, n = prof_mp.t, prof_mp.n
 
-    def f(x):
-        j = int(round(float(geometry.base_parameter(m, x)) / dt))
-        return float(u[min(max(j, 0), n)])
+    def node(tp):
+        return np.clip(np.rint(tp / prof_mp.dt).astype(int), 0, n)
 
-    tf = diagrams.transport_invariant(diag, f, samples=32)
-    ypts = geometry.quotient_curve(m, "Mprime", t)
-    xs = ypts[0] if isinstance(ypts, tuple) else ypts
-    tol = 1e-9 * prof_mp.L
-    out = np.empty(n + 1)
-    for j in range(n + 1):
-        y = np.asarray(xs[j], dtype=float)
-        back = diag.proj_bullet(diag.section_star(y))
-        if isinstance(back, tuple):
-            back = back[0]
-        elif hasattr(back, "as_array"):
-            back = back.as_array()
-        tprime = float(geometry.base_parameter(m, np.asarray(back, dtype=float)))
-        if abs(tprime - t[j]) > tol:
-            raise geometry.GridMismatch(
-                f"transported node {j} lands at t={tprime!r}, expected {t[j]!r}")
-        out[j] = tf(y)
-    return out
+    # the sampled invariance and well-definedness checks of the table
+    diagrams.transport_invariant(
+        diag, lambda x: u[node(geometry.base_parameter(m, x))], samples=32)
+    ys = geometry.quotient_curve(m, "Mprime", t)
+    tprime = geometry.base_parameter(m, diag.proj_bullet(diag.section_star(ys)))
+    off = np.abs(tprime - t) > 1e-9 * prof_mp.L
+    if np.any(off):
+        j = int(np.argmax(off))
+        raise geometry.GridMismatch(
+            f"transported node {j} lands at t={float(tprime[j])!r}, "
+            f"expected {float(t[j])!r}")
+    return u[node(tprime)]
 
 
 def joint_eigenfunction_check(d, m: geometry.MetricSpec, index: int, n: int) -> float:
@@ -322,8 +297,8 @@ def fubini_defect(d, m: geometry.MetricSpec, f, n: int) -> float:
     vals = np.asarray(f(prof_p.t) if callable(f) else f, dtype=float)
     if vals.shape != prof_p.t.shape:
         raise geometry.GridMismatch(f"integrand must have {prof_p.t.size} nodes")
-    qp = _quad(prof_p)
-    qm = _quad(prof_m)
+    qp = mass_quadrature(assemble(prof_p))
+    qm = mass_quadrature(assemble(prof_m))
     fiber = float(np.sum(qp)) / float(np.sum(qm))
     ip = float(qp @ vals)
     im = float(qm @ vals)

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import bsl.cli as cli
 import bsl.eigen as eigen
 from bsl import __version__
 from bsl.cli import main
@@ -48,7 +49,6 @@ def test_spectrum_envelope(tmp_path):
     cfg = doc["config"]
     assert cfg["diagram"] == "trivial-s2" and cfg["side"] == "M"
     assert cfg["grid"] == 128 and cfg["modes"] == 2 and cfg["seed"] == 3
-    assert "threads" in cfg
     modes = doc["result"]["modes"]
     assert len(modes) == 2
     assert abs(modes[0]["lambda"] - 2.0) <= 1e-4
@@ -108,6 +108,23 @@ def test_bad_arguments_exit_2(capsys):
                      "--tolerance", tol]) == 2
 
 
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
+                                                        monkeypatch):
+    # rejected while parsing, so no command starts its work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("cmd_catalog", "cmd_spectrum", "cmd_plotdata"):
+        monkeypatch.setattr(cli, name, no_work)
+    bad = os.path.join(tmp_path, "no-such-dir", "x")
+    for argv in (["catalog", "--out", bad],
+                 ["spectrum", "--diagram", "hopf", "--out", bad],
+                 ["spectrum", "--diagram", "hopf", "--dump-profile", bad],
+                 ["plotdata", os.path.join(tmp_path, "in.json"), "--svg", bad]):
+        assert main(argv) == 2, argv
+        assert "does not exist" in capsys.readouterr().err
+
+
 def test_modes_beyond_the_coarse_grid_exit_2(capsys):
     # the n/2 grid of the Richardson pair holds n/2 - 3 nonzero modes
     assert main(["spectrum", "--diagram", "hopf", "--grid", "64",
@@ -122,6 +139,16 @@ def test_solver_failure_exits_3_with_numbers(capsys, monkeypatch):
     assert main(["spectrum", "--diagram", "hopf", "--grid", "64"]) == 3
     err = capsys.readouterr().err
     assert "backward error" in err and "mode 1 (n=32, side M)" in err
+
+
+@pytest.mark.parametrize("side", ["M", "Mprime"])
+def test_sixty_four_modes_at_1024_are_certified(side, capsys):
+    # the pencil residual of mode 64 sits within 5% of its 1e-9 bound
+    # here, so a change in the profiles can turn this job into exit 3
+    assert main(["spectrum", "--diagram", "hopf", "--side", side,
+                 "--grid", "1024", "--modes", "64"]) == 0
+    modes = json.loads(capsys.readouterr().out)["result"]["modes"]
+    assert sum(mode["mult"] for mode in modes) == 64
 
 
 @pytest.mark.parametrize("grid", [2048, 8192, 65536])
@@ -280,11 +307,3 @@ def test_outputs_are_deterministic(tmp_path):
     first = open(argv[-1], "rb").read()
     assert main(list(argv)) == 0
     assert open(argv[-1], "rb").read() == first
-
-
-def test_threads_echoed_from_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("BSL_THREADS", "2")
-    rc, doc, _ = run_json(tmp_path, "thr.json",
-                          ["catalog", "--format", "json"])
-    assert rc == 0
-    assert doc["config"]["threads"] == 2

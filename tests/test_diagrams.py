@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bsl.algebra import QUAT_ONE, Quaternion, identity, random_element
+from bsl.algebra import QUAT_ONE, GroupElement, Quaternion, identity, random_element
 from bsl.diagrams import (
     CATALOG_IDS,
     IllDefined,
@@ -105,6 +105,61 @@ def test_sections_are_right_inverses():
             assert d.membership(qy) <= 1e-12
             assert d.dist_m(d.proj_bullet(qx), x) <= 1e-12
             assert d.dist_mprime(d.proj_star(qy), y) <= 1e-12
+
+
+def _parts(v):
+    """A map's value as a tuple of float arrays, one per stored field."""
+    if isinstance(v, Quaternion):
+        return tuple(np.asarray(c, dtype=float) for c in (v.w, v.x, v.y, v.z))
+    if isinstance(v, tuple):
+        return tuple(np.asarray(c, dtype=float) for c in v)
+    return (np.asarray(v, dtype=float),)
+
+
+def _batch(points):
+    """Stack one-point values of a map into the batch form it accepts."""
+    if isinstance(points[0], Quaternion):
+        return Quaternion(*(np.array(c) for c in zip(*(_parts(q) for q in points))))
+    if isinstance(points[0], tuple):
+        return tuple(np.array(c) for c in zip(*points))
+    return np.array(points)
+
+
+def test_batched_maps_equal_their_one_point_values_bitwise():
+    # the profiles evaluate the diagram maps on whole batches; every map
+    # must give the very same bits as one point at a time
+    rng = np.random.default_rng(12)
+    for eid in ("trivial-s2", "hopf"):
+        d = catalog(eid)
+        ps = [d.random_point(rng) for _ in range(257)]
+        gs = [random_element(d.group, rng) for _ in range(257)]
+        # the last quotient points sit where the first hopf chart fails
+        cut = [np.array([-1.0, 0.0, 0.0])]
+        xs = [d.proj_bullet(p) for p in ps[:-1]] + cut
+        ys = [d.proj_star(p) for p in ps[:-1]] + cut
+        for pts in (xs, ys):
+            firsts = np.array([v[0] for v in pts])
+            assert np.any(firsts <= -0.5) and np.any(firsts > -0.5)
+        g = GroupElement(d.group, np.array([h.data for h in gs]))
+        cases = {
+            "bullet_action": (lambda i: (gs[i], ps[i]), (g, _batch(ps))),
+            "star_action": (lambda i: (gs[i], ps[i]), (g, _batch(ps))),
+            "proj_bullet": (lambda i: (ps[i],), (_batch(ps),)),
+            "proj_star": (lambda i: (ps[i],), (_batch(ps),)),
+            "residual_star": (lambda i: (gs[i], xs[i]), (g, _batch(xs))),
+            "residual_bullet": (lambda i: (gs[i], ys[i]), (g, _batch(ys))),
+            "section_bullet": (lambda i: (xs[i],), (_batch(xs),)),
+            "section_star": (lambda i: (ys[i],), (_batch(ys),)),
+        }
+        for name, (one, batch) in cases.items():
+            fn = getattr(d, name)
+            ref = [_parts(fn(*one(i))) for i in range(257)]
+            got = _parts(fn(*batch))
+            for k, comp in enumerate(got):
+                stacked = np.array([r[k] for r in ref])
+                comp = np.broadcast_to(comp, stacked.shape)
+                assert np.array_equal(comp.view(np.uint64),
+                                      stacked.view(np.uint64)), (eid, name, k)
 
 
 def test_hopf_sections_cover_the_cut_locus():

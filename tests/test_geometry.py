@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bsl.geometry as geometry
-from bsl.algebra import haar_rule
+from bsl.algebra import GroupElement, haar_rule
 from bsl.diagrams import catalog
 from bsl.geometry import (
     GridMismatch,
@@ -97,11 +97,14 @@ def test_blocked_p_profile_matches_one_einsum():
     rule = haar_rule("s1", 8)
     angles = np.array([g.data for g in rule.nodes])
     for eid in ("trivial-s2", "hopf"):
-        m = kaluza_klein(catalog(eid))
+        d = catalog(eid)
+        m = kaluza_klein(d)
         for metric in (m, warp(m, u, 0.7)):
             geom = geometry._geom(metric)
             t = np.linspace(0.0, orbit_space_length(metric), n + 1)
-            pushed = geom.push_torus(metric, geom.curve_P(metric, t), angles)
+            p = geom.curve_P(metric, t[:, None, None])
+            pushed = d.star_action(GroupElement("s1", angles[:, None]),
+                                   d.bullet_action(GroupElement("s1", angles), p))
             a_ww, a_wz, a_zz = geom.gram(metric, pushed)
             jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
             ref = np.einsum("ijk,j,k->i", jac, rule.weights, rule.weights)
