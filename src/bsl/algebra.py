@@ -61,15 +61,14 @@ class Quaternion:
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        return quat_mul(self, other)
+        # anything but a quaternion (a float, an array) scales
+        if isinstance(other, Quaternion):
+            return quat_mul(self, other)
+        return Quaternion(self.w * other, self.x * other,
+                          self.y * other, self.z * other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
+        return self * other
 
     def conj(self):
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -121,6 +120,14 @@ def circle_quat(theta):
     return Quaternion(trig.cos(theta), trig.sin(theta), 0.0, 0.0)
 
 
+def _hopf_quat(eta, xi1, xi2):
+    """Unit quaternions in Hopf coordinates, cos(eta) e^{i xi1} +
+    sin(eta) e^{i xi2} j, elementwise over coordinate arrays."""
+    ce, se = np.cos(eta), np.sin(eta)
+    return Quaternion(ce * np.cos(xi1), ce * np.sin(xi1),
+                      se * np.cos(xi2), se * np.sin(xi2))
+
+
 # ---------------------------------------------------------------------------
 # group elements
 
@@ -132,7 +139,9 @@ class GroupElement:
     """Tagged union over the catalog groups.
 
     data holds an angle for "s1", a Quaternion for "s3" and a row-wise
-    2x2 quaternion matrix ((a, c), (b, d)) for "sp2".
+    2x2 quaternion matrix ((a, c), (b, d)) for "sp2".  A batch of s1 or
+    s3 elements is one GroupElement holding an array of angles or a
+    Quaternion of arrays.
     """
 
     group: str
@@ -226,15 +235,16 @@ def group_inverse(g):
 
 def payload_distance(group, a, b):
     """Euclidean distance between two payloads of one group in the
-    ambient embedding (an angle as a point of the unit circle)."""
+    ambient embedding (an angle as a point of the unit circle); either
+    payload may be a batch."""
     if group == "s1":
-        return math.hypot(math.cos(a) - math.cos(b), math.sin(a) - math.sin(b))
+        return np.hypot(np.cos(a) - np.cos(b), np.sin(a) - np.sin(b))
     if group == "s3":
         return (a - b).norm()
     (a1, c1), (b1, d1) = a
     (a2, c2), (b2, d2) = b
-    return math.sqrt((a1 - a2).norm() ** 2 + (c1 - c2).norm() ** 2
-                     + (b1 - b2).norm() ** 2 + (d1 - d2).norm() ** 2)
+    return np.sqrt((a1 - a2).norm() ** 2 + (c1 - c2).norm() ** 2
+                   + (b1 - b2).norm() ** 2 + (d1 - d2).norm() ** 2)
 
 
 def element_distance(g, h):
@@ -269,16 +279,18 @@ def random_element(group, rng):
 class HaarRule:
     """Quadrature rule for the bi-invariant (Haar) volume of a group.
 
-    nodes are GroupElements, weights are positive and sum to the group
-    volume (2*pi for s1, 2*pi**2 for s3).
+    nodes is one GroupElement holding every node (an array of angles for
+    s1, a Quaternion of arrays for s3); weights are positive, one per
+    node, and sum to the group volume (2*pi for s1, 2*pi**2 for s3).
+    integrate(f) calls f once on the whole batch of nodes.
     """
 
     group: str
-    nodes: tuple
+    nodes: GroupElement
     weights: np.ndarray
 
     def integrate(self, f):
-        return float(sum(w * f(n) for n, w in zip(self.nodes, self.weights)))
+        return float(np.sum(self.weights * f(self.nodes)))
 
     def total(self):
         return float(np.sum(self.weights))
@@ -296,29 +308,18 @@ def haar_rule(group, order):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    xi = TWO_PI * np.arange(order) / order
     if group == "s1":
-        angles = TWO_PI * np.arange(order) / order
-        nodes = tuple(GroupElement("s1", float(a)) for a in angles)
-        weights = np.full(order, TWO_PI / order)
-        return HaarRule("s1", nodes, weights)
+        return HaarRule("s1", GroupElement("s1", xi), np.full(order, TWO_PI / order))
     if group == "s3":
-        xi = TWO_PI * np.arange(order) / order
         n_s = max(1, (order + 1) // 2)
         gl_x, gl_w = np.polynomial.legendre.leggauss(n_s)
         s = 0.5 * (gl_x + 1.0)           # Gauss nodes on (0, 1)
         ws = 0.5 * gl_w                  # weights summing to 1
-        eta = np.arcsin(np.sqrt(s))
-        nodes = []
-        weights = []
+        eta, x1, x2 = (c.ravel() for c in np.meshgrid(
+            np.arcsin(np.sqrt(s)), xi, xi, indexing="ij"))
         wxi = TWO_PI / order
-        for ei, wi in zip(eta, ws):
-            ce, se = math.cos(ei), math.sin(ei)
-            for x1 in xi:
-                for x2 in xi:
-                    q = Quaternion(ce * math.cos(x1), ce * math.sin(x1),
-                                   se * math.cos(x2), se * math.sin(x2))
-                    nodes.append(GroupElement("s3", q))
-                    # total = (2pi)^2 * 1/2 = 2*pi^2
-                    weights.append(0.5 * wxi * wxi * wi)
-        return HaarRule("s3", tuple(nodes), np.array(weights))
+        # total = (2pi)^2 * 1/2 = 2*pi^2
+        weights = np.repeat(0.5 * wxi * wxi * ws, order * order)
+        return HaarRule("s3", GroupElement("s3", _hopf_quat(eta, x1, x2)), weights)
     raise UnsupportedGroup(f"no Haar rule for group {group!r}")

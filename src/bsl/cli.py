@@ -136,10 +136,13 @@ def _spectrum_result(spec) -> dict:
 
 def cmd_spectrum(args) -> int:
     m = geometry.kaluza_klein(args.diagram)
-    spec = lab.extrapolated_spectrum(m, args.side, args.modes, args.grid,
-                                     include_zero=args.include_zero)
+    # the grid-n profile is built once, for the solve and for the dump
+    prof = None
     if args.dump_profile:
         prof = geometry.orbit_profile(m, args.side, args.grid)
+    spec = lab._extrapolated(m, args.side, args.modes, args.grid,
+                             args.include_zero, prof)
+    if prof is not None:
         geometry.write_profile(prof, m, args.dump_profile)
     cfg = _base_config(args, diagram=args.diagram, side=args.side,
                        grid=args.grid, modes=args.modes,
@@ -221,13 +224,12 @@ def cmd_verify(args) -> int:
         memb_star = max(memb_star, d.membership(d.star_action(g, p)))
 
     free_grid = 8
-    bullet_free = star_free = True
+    free = {"bullet": True, "star": True}
     for _ in range(100):
         p = d.random_point(rng)
-        if len(diagrams.isotropy_probe(d, "bullet", p, grid=free_grid)) != 1:
-            bullet_free = False
-        if len(diagrams.isotropy_probe(d, "star", p, grid=free_grid)) != 1:
-            star_free = False
+        for which in free:
+            mask = diagrams.isotropy_probe(d, which, p, grid=free_grid)
+            free[which] &= bool(np.count_nonzero(mask) == 1)
 
     pairs = []
     for _ in range(5):
@@ -236,8 +238,8 @@ def cmd_verify(args) -> int:
         "commute_residual": commute,
         "membership": {"bullet": memb_bullet, "star": memb_star},
         "freeness": {"points": 100, "net_grid": free_grid,
-                     "bullet_only_identity": bullet_free,
-                     "star_only_identity": star_free},
+                     "bullet_only_identity": free["bullet"],
+                     "star_only_identity": free["star"]},
         "isotropy": {"pairs": pairs,
                      "all_equal": all(a == b for a, b in pairs)},
         "orbit_normalization": ("orbit volumes count the parameterisation "
@@ -276,11 +278,22 @@ def _series_from_csv(text):
     xs, ys = [], []
     for ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) < 2:
+            raise ValueError(f"profile CSV row {ln!r} has no w field")
         xs.append(float(parts[0]))
         ys.append(float(parts[1]))
-    if not xs:
-        raise ValueError("profile CSV holds no rows")
     return "t,w", xs, ys
+
+
+def _check_plottable(xs, ys):
+    # the SVG scales both axes to the data range, so every value and
+    # both ranges must be finite numbers
+    if not xs:
+        raise ValueError("no data points to plot")
+    for vals in (xs, ys):
+        if not (all(math.isfinite(v) for v in vals)
+                and math.isfinite(max(vals) - min(vals))):
+            raise ValueError("plotted values and their ranges must be finite")
 
 
 def _svg_text(header: str, xs, ys) -> str:
@@ -325,7 +338,9 @@ def cmd_plotdata(args) -> int:
             header, xs, ys = _series_from_json(json.loads(raw))
         else:
             header, xs, ys = _series_from_csv(raw)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        _check_plottable(xs, ys)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
         print(f"bsl: malformed plotdata input: {exc}", file=sys.stderr)
         return 5
     lines = [header]

@@ -33,8 +33,10 @@ from .algebra import (
     QUAT_J,
     QUAT_ONE,
     Quaternion,
+    _hopf_quat,
     circle_quat,
     payload_distance,
+    quat_dot,
     quat_mul,
     random_element,
     sp2_membership_defect,
@@ -70,11 +72,12 @@ class StarDiagram:
     All callables are pure.  Sections are right inverses of the matching
     projection and are used to lift quotient points; each one covers the
     whole base with a two-chart fallback where a single formula would be
-    singular.  On the trivial-s2 and hopf entries the actions,
-    projections, residual actions and sections also map a batch of
-    points (and of group angles) at once, with the same floating-point
-    operations as one point at a time; the orbit-volume profiles are
-    computed through them.
+    singular.  On every entry the actions, projections, residual actions
+    and sections also map a batch of points (and of group elements) at
+    once, with the same floating-point operations as one point at a
+    time, and the distances measure a batch against one point; the
+    orbit-volume profiles and the isotropy probes are computed through
+    them.
     """
 
     entry: CatalogEntry
@@ -152,7 +155,7 @@ def _where(mask, a, b):
 
 
 def _vec_dist(a, b):
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+    return np.linalg.norm(np.asarray(a) - np.asarray(b), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,7 @@ def _triv_section(x):
 
 
 def _triv_point_dist(p, q):
-    return math.hypot(_vec_dist(p[0], q[0]), payload_distance("s1", p[1], q[1]))
+    return np.hypot(_vec_dist(p[0], q[0]), payload_distance("s1", p[1], q[1]))
 
 
 def _triv_random(rng):
@@ -284,12 +287,9 @@ def _gm_canon(A):
     # star-invariant representative: rotate the larger second-column
     # entry onto the positive real axis; |c|^2 + |d|^2 = 1 keeps the
     # chosen divisor at least 1/sqrt(2)
-    (a, c), (b, d) = A
-    if c.norm() >= d.norm():
-        q = c.conj() * (1.0 / c.norm())
-    else:
-        q = d.conj() * (1.0 / d.norm())
-    return _gm_star(GroupElement("s3", q), A)
+    (_, c), (_, d) = A
+    u = _where(c.norm() >= d.norm(), c, d)
+    return _gm_star(GroupElement("s3", u.conj() * (1.0 / u.norm())), A)
 
 
 def _gm_residual_star(g, col):
@@ -305,15 +305,12 @@ def _gm_residual_bullet(g, Y):
 
 def _gm_section_bullet(col):
     # complete a first column (a, b) to a symplectic matrix; two charts
-    # cover S7 since max(|a|, |b|) >= 1/sqrt(2)
+    # cover S7 since max(|a|, |b|) >= 1/sqrt(2); u is the larger entry
     a, b = col
-    if a.norm() >= b.norm():
-        c = quat_mul(quat_mul(a, b.conj()), a.conj()) * (-1.0 / a.norm() ** 2)
-        d = a.conj()
-    else:
-        c = b.conj()
-        d = quat_mul(quat_mul(b, a.conj()), b.conj()) * (-1.0 / b.norm() ** 2)
-    return ((a, c), (b, d))
+    upper = a.norm() >= b.norm()
+    u, v = _where(upper, a, b), _where(upper, b, a)
+    s = quat_mul(quat_mul(u, v.conj()), u.conj()) * (-1.0 / quat_dot(u, u))
+    return ((a, _where(upper, s, u.conj())), (b, _where(upper, u.conj(), s)))
 
 
 def _gm_section_star(Y):
@@ -325,7 +322,7 @@ def _sp2_dist(A, B):
 
 
 def _gm_dist_m(p, q):
-    return math.sqrt((p[0] - q[0]).norm() ** 2 + (p[1] - q[1]).norm() ** 2)
+    return np.sqrt((p[0] - q[0]).norm() ** 2 + (p[1] - q[1]).norm() ** 2)
 
 
 def _gm_random(rng):
@@ -461,8 +458,10 @@ def check_commute(d: StarDiagram, samples: int, rng=None) -> float:
     return worst
 
 
-def group_net(group: str, grid: int):
-    """Deterministic net over the group, identity first.
+def group_net(group: str, grid: int) -> GroupElement:
+    """Deterministic net over the group, identity first, held as one
+    GroupElement whose payload is an array of angles (s1) or a
+    Quaternion of arrays (s3).
 
     The circle net is the uniform angle grid.  The S3 net is a lattice in
     Hopf coordinates q = (cos(eta) e^{i xi1}, sin(eta) e^{i xi2} j) that
@@ -472,34 +471,33 @@ def group_net(group: str, grid: int):
     """
     if grid < 2:
         raise ValueError("net grid must be >= 2")
+    angles = TWO_PI * np.arange(grid) / grid
     if group == "s1":
-        return [GroupElement("s1", TWO_PI * k / grid) for k in range(grid)]
+        return GroupElement("s1", angles)
     if group == "s3":
-        nodes = []
         etas = np.linspace(0.0, math.pi / 2.0, grid // 4 + 2)
-        angles = TWO_PI * np.arange(grid) / grid
-        for ei, eta in enumerate(etas):
-            ce, se = math.cos(eta), math.sin(eta)
-            xi1s = angles if ei < len(etas) - 1 else angles[:1]
-            xi2s = angles if 0 < ei else angles[:1]
-            for x1 in xi1s:
-                for x2 in xi2s:
-                    nodes.append(GroupElement("s3", Quaternion(
-                        ce * math.cos(x1), ce * math.sin(x1),
-                        se * math.cos(x2), se * math.sin(x2))))
-        return nodes
+        eta, xi1, xi2 = np.meshgrid(etas, angles, angles, indexing="ij")
+        # each end ring keeps one value of the angle that is void there
+        keep = (((eta < etas[-1]) | (xi1 == 0.0))
+                & ((eta > 0.0) | (xi2 == 0.0)))
+        return GroupElement("s3", _hopf_quat(eta[keep], xi1[keep], xi2[keep]))
     raise ValueError(f"no net for group {group!r}")
 
 
 def _probe(action, dist, p, net, tol):
-    return [g for g in net if dist(action(g, p), p) <= tol]
+    # one batched action and distance; the mask has one entry per net
+    # element even when the distance does not depend on the element
+    size = np.size(net.data.w if isinstance(net.data, Quaternion) else net.data)
+    return np.broadcast_to(dist(action(net, p), p) <= tol, (size,))
 
 
 def isotropy_probe(d: StarDiagram, which: str, p, grid: int = 16,
-                   tol: float = FIXED_POINT_TOL):
-    """Net elements whose action moves p by at most tol.
+                   tol: float = FIXED_POINT_TOL) -> np.ndarray:
+    """Boolean mask over group_net(d.group, grid): the net elements whose
+    action moves p by at most tol.
 
-    For a free action this returns only the identity node.
+    The net's first element is the identity, so for a free action only
+    the first entry is set.
     """
     if which == "bullet":
         action = d.bullet_action
@@ -525,10 +523,10 @@ def isotropy_compare(d: StarDiagram, p, grid: int = 16,
     """Estimated isotropy dimensions of the two residual actions at the
     projections of p.  The two numbers agree for every diagram point."""
     net = group_net(d.group, grid)
-    m_hits = len(_probe(d.residual_star, d.dist_m, d.proj_bullet(p), net, tol))
-    mp_hits = len(_probe(d.residual_bullet, d.dist_mprime, d.proj_star(p), net, tol))
-    return (_pattern_dim(d.group, grid, m_hits, len(net)),
-            _pattern_dim(d.group, grid, mp_hits, len(net)))
+    m_hits = _probe(d.residual_star, d.dist_m, d.proj_bullet(p), net, tol)
+    mp_hits = _probe(d.residual_bullet, d.dist_mprime, d.proj_star(p), net, tol)
+    return (_pattern_dim(d.group, grid, np.count_nonzero(m_hits), m_hits.size),
+            _pattern_dim(d.group, grid, np.count_nonzero(mp_hits), mp_hits.size))
 
 
 # ---------------------------------------------------------------------------

@@ -309,9 +309,7 @@ def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> Orbi
     L = orbit_space_length(m)
     t = np.linspace(0.0, L, n + 1)
     rule = haar_rule("s1", haar_order)
-    angles = np.array([g.data for g in rule.nodes])
-    g = GroupElement("s1", angles)
-    wts = rule.weights
+    g, wts = rule.nodes, rule.weights
 
     if side == "M":
         x = d.proj_bullet(geom.curve_P(m, t))
@@ -325,7 +323,7 @@ def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> Orbi
     else:
         # pushed[i, j, k]: the section point at t_i moved by star angle j
         # and bullet angle k
-        g_star = GroupElement("s1", angles[:, None])
+        g_star = GroupElement("s1", g.data[:, None])
         w = np.empty(n + 1)
         for lo in range(0, n + 1, _P_BLOCK):
             block = slice(lo, lo + _P_BLOCK)

@@ -80,20 +80,23 @@ def _grid_ok(n: int):
     return n
 
 
-def _solve_grid(m, side, k, n):
-    """(spectrum, operator, eigenvectors) on one grid."""
-    op = assemble(geometry.orbit_profile(m, side, n))
+def _solve_grid(prof, k):
+    """(spectrum, operator, eigenvectors) on one profile's grid."""
+    op = assemble(prof)
     lams, vecs = eigenpairs(op, k)
     spec = BasicSpectrum(values=group_modes(lams), n=op.n, side=op.side,
                          fingerprint=op.fingerprint)
     return spec, op, vecs
 
 
-def _solve_pair(m, side, k, n):
-    """Extrapolated spectrum from (n/2, n) plus the fine-grid pieces."""
-    coarse, _, _ = _solve_grid(m, side, k, n // 2)
-    fine, op, vecs = _solve_grid(m, side, k, n)
-    return extrapolate(coarse, fine), op, vecs
+def _solve_pair(m, side, k, n, fine=None):
+    """Extrapolated spectrum from (n/2, n) plus the fine-grid pieces;
+    fine is the grid-n profile when the caller has built it already."""
+    coarse, _, _ = _solve_grid(geometry.orbit_profile(m, side, n // 2), k)
+    if fine is None:
+        fine = geometry.orbit_profile(m, side, n)
+    spec, op, vecs = _solve_grid(fine, k)
+    return extrapolate(coarse, spec), op, vecs
 
 
 def extrapolated_spectrum(m: geometry.MetricSpec, side: str, k: int, n: int,
@@ -103,8 +106,14 @@ def extrapolated_spectrum(m: geometry.MetricSpec, side: str, k: int, n: int,
     The zero mode is exact for constants, so include_zero prepends the
     triple (0, 1, 0) instead of solving for it.
     """
+    return _extrapolated(m, side, k, n, include_zero)
+
+
+def _extrapolated(m, side, k, n, include_zero, fine=None):
+    # extrapolated_spectrum on a grid-n profile the caller may hold
+    # (`spectrum --dump-profile` writes it out)
     n = _grid_ok(n)
-    ext, _, _ = _solve_pair(m, side, k, n)
+    ext, _, _ = _solve_pair(m, side, k, n, fine)
     if include_zero:
         ext = BasicSpectrum(values=((0.0, 1, 0.0),) + ext.values, n=ext.n,
                             side=ext.side, fingerprint=ext.fingerprint)

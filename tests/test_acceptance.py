@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +64,7 @@ def test_criterion_1_product_spectrum(tmp_path, capfd):
         out = os.path.join(tmp_path, "c1.json")
         run_cli(["spectrum", "--diagram", "trivial-s2", "--side", "M",
                  "--grid", "1024", "--modes", "4", "--out", out], limit=5.0)
-        lams = flat_modes(json.load(open(out))["result"])
+        lams = flat_modes(json.loads(Path(out).read_text())["result"])
         assert lams.size == 4
         assert np.max(np.abs(lams - SPHERE) / SPHERE) <= 1e-6
 
@@ -73,7 +74,7 @@ def test_criterion_2_hopf_isospectrality(tmp_path, capfd):
         out = os.path.join(tmp_path, "c2.json")
         run_cli(["compare", "--diagram", "hopf", "--grid", "1024",
                  "--modes", "5", "--out", out], limit=10.0)
-        res = json.load(open(out))["result"]
+        res = json.loads(Path(out).read_text())["result"]
         assert res["isospectral"] is True
         assert res["max_relgap"] <= 1e-8
         for key in ("lambda_m", "lambda_mprime"):
@@ -96,7 +97,7 @@ def test_criterion_4_warp_schedule(tmp_path, capfd):
         out = os.path.join(tmp_path, "c4.json")
         run_cli(["warp", "--diagram", "hopf", "--scales", "0.25,0.5,1,2",
                  "--out", out], limit=30.0)
-        res = json.load(open(out))["result"]
+        res = json.loads(Path(out).read_text())["result"]
         control = res["reports"][0]
         assert control["scale"] == 0.0
         assert control["lambda1_warped"] == control["lambda1_unwarped"]
@@ -122,7 +123,7 @@ def test_criterion_6_exact_action_checks(tmp_path, capfd):
         out = os.path.join(tmp_path, "c6.json")
         run_cli(["verify", "--diagram", "gm", "--samples", "1000",
                  "--seed", "7", "--out", out], limit=5.0)
-        res = json.load(open(out))["result"]
+        res = json.loads(Path(out).read_text())["result"]
         assert res["commute_residual"] <= 1e-12
         assert res["membership"]["bullet"] <= 1e-12
         assert res["membership"]["star"] <= 1e-12
@@ -177,6 +178,6 @@ def test_criterion_9_deterministic_reports(tmp_path, capfd):
         ):
             out = os.path.join(tmp_path, f"det-{name}.json")
             run_cli(argv + ["--out", out], limit=30.0)
-            first = open(out, "rb").read()
+            first = Path(out).read_bytes()
             run_cli(argv + ["--out", out], limit=30.0)
-            assert open(out, "rb").read() == first
+            assert Path(out).read_bytes() == first

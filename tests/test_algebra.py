@@ -114,13 +114,36 @@ def test_haar_totals():
     assert abs(haar_rule("s3", 8).total() - 2.0 * math.pi ** 2) < 1e-10
 
 
+def test_haar_rules_match_the_loop_construction():
+    # one node at a time, eta slowest, is the reference for the batched
+    # rules: same order, weights paired with their nodes
+    order = 6
+    xi = 2.0 * math.pi * np.arange(order) / order
+    rule = haar_rule("s1", order)
+    assert np.array_equal(rule.nodes.data, xi) and rule.weights.shape == (order,)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(3)
+    eta = np.arcsin(np.sqrt(0.5 * (gl_x + 1.0)))
+    wxi = 2.0 * math.pi / order
+    nodes, weights = [], []
+    for e, w in zip(eta, 0.5 * gl_w):
+        for x1 in xi:
+            for x2 in xi:
+                nodes.append((math.cos(e) * math.cos(x1), math.cos(e) * math.sin(x1),
+                              math.sin(e) * math.cos(x2), math.sin(e) * math.sin(x2)))
+                weights.append(0.5 * wxi * wxi * w)
+    rule = haar_rule("s3", order)
+    q = rule.nodes.data
+    assert np.max(np.abs(np.stack([q.w, q.x, q.y, q.z], axis=-1) - nodes)) <= 4e-16
+    assert np.array_equal(rule.weights, weights)
+
+
 def test_haar_translation_invariance_s1():
     rule = haar_rule("s1", 32)
     rng = np.random.default_rng(11)
 
     def f(g):
         th = g.data
-        return 1.3 + math.cos(th) - 0.5 * math.sin(3.0 * th)
+        return 1.3 + np.cos(th) - 0.5 * np.sin(3.0 * th)
 
     base = rule.integrate(f)
     for _ in range(10):

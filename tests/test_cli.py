@@ -1,14 +1,18 @@
 """Command-line envelope, exit codes, and report post-processing."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bsl.cli as cli
+import bsl.diagrams as diagrams
 import bsl.eigen as eigen
 from bsl import __version__
 from bsl.cli import main
@@ -17,7 +21,7 @@ from bsl.cli import main
 def run_json(tmp_path, name, argv):
     out = os.path.join(tmp_path, name)
     rc = main(argv + ["--out", out])
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     return rc, doc, out
 
 
@@ -61,7 +65,7 @@ def test_spectrum_csv(tmp_path):
     rc = main(["spectrum", "--diagram", "hopf", "--grid", "128", "--modes", "3",
                "--format", "csv", "--out", out])
     assert rc == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "index,lambda,mult,err"
     assert len(lines) == 4
     first = lines[1].split(",")
@@ -84,9 +88,29 @@ def test_spectrum_profile_dump(tmp_path):
                           ["spectrum", "--diagram", "hopf", "--grid", "128",
                            "--modes", "1", "--dump-profile", prof])
     assert rc == 0
-    assert open(prof).read().startswith("t,w,h\n")
-    meta = json.loads(open(prof[:-4] + ".json").read())
+    assert Path(prof).read_text().startswith("t,w,h\n")
+    meta = json.loads(Path(prof[:-4] + ".json").read_text())
     assert meta["side"] == "M" and meta["n"] == 128
+
+
+def test_profile_dump_builds_each_grid_once(tmp_path, monkeypatch):
+    built = []
+    orig = cli.geometry.orbit_profile
+
+    def counting(m, side, n, *rest):
+        built.append((side, n))
+        return orig(m, side, n, *rest)
+
+    monkeypatch.setattr(cli.geometry, "orbit_profile", counting)
+    prof = os.path.join(tmp_path, "prof.csv")
+    rc, _, _ = run_json(tmp_path, "s.json",
+                        ["spectrum", "--diagram", "hopf", "--side", "P",
+                         "--grid", "128", "--modes", "2", "--dump-profile", prof])
+    assert rc == 0
+    assert sorted(built) == [("P", 64), ("P", 128)]
+    # the dump is the profile the solve used, as a fresh build writes it
+    m = cli.geometry.kaluza_klein("hopf")
+    assert Path(prof).read_text() == cli.geometry.profile_csv_text(orig(m, "P", 128))
 
 
 def test_unsupported_diagram_exits_2(capsys):
@@ -191,7 +215,7 @@ def test_compare_verdict_and_expectations(tmp_path):
     rc = main(["compare", "--diagram", "hopf", "--grid", "128", "--modes", "2",
                "--expect", "nonisospectral", "--out", out])
     assert rc == 4
-    assert json.loads(open(out).read())["result"]["isospectral"] is True
+    assert json.loads(Path(out).read_text())["result"]["isospectral"] is True
 
 
 def test_compare_tolerance_override(tmp_path):
@@ -228,7 +252,7 @@ def test_warp_csv(tmp_path):
     rc = main(["warp", "--diagram", "trivial-s2", "--grid", "128",
                "--scales", "0.5", "--format", "csv", "--out", out])
     assert rc == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "scale,lambda1_unwarped,lambda1_warped,lhs,rhs,broke"
     assert len(lines) == 3
 
@@ -248,6 +272,24 @@ def test_verify_payload(tmp_path):
     assert isinstance(res["orbit_normalization"], str)
 
 
+@pytest.mark.parametrize("eid", ["gm", "hopf"])
+def test_an_action_that_ignores_g_is_not_free(tmp_path, monkeypatch, eid):
+    # its distance has no net axis at all; the probe must still count
+    # every net element, not one container
+    still = dataclasses.replace(diagrams.catalog(eid), bullet_action=lambda g, p: p)
+    net = diagrams.group_net(still.group, 8)
+    size = net.data.w.size if eid == "gm" else net.data.size
+    p = still.random_point(np.random.default_rng(0))
+    mask = diagrams.isotropy_probe(still, "bullet", p, grid=8)
+    assert mask.shape == (size,) and mask.all()
+    monkeypatch.setattr(diagrams, "catalog", lambda _id: still)
+    rc, doc, _ = run_json(tmp_path, "v.json",
+                          ["verify", "--diagram", eid, "--samples", "5"])
+    assert rc == 0
+    assert doc["result"]["freeness"]["bullet_only_identity"] is False
+    assert doc["result"]["freeness"]["star_only_identity"] is True
+
+
 def test_plotdata_from_reports(tmp_path):
     _, _, spec = run_json(tmp_path, "s.json",
                           ["spectrum", "--diagram", "hopf", "--grid", "128",
@@ -255,9 +297,9 @@ def test_plotdata_from_reports(tmp_path):
     out = os.path.join(tmp_path, "s.plot.csv")
     svg = os.path.join(tmp_path, "s.svg")
     assert main(["plotdata", spec, "--out", out, "--svg", svg]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "index,lambda" and len(lines) == 4
-    root = ET.fromstring(open(svg).read())
+    root = ET.fromstring(Path(svg).read_text())
     assert root.tag.endswith("svg")
     assert any(child.tag.endswith("polyline") for child in root)
 
@@ -266,14 +308,14 @@ def test_plotdata_from_reports(tmp_path):
                                "--modes", "2"])
     out2 = os.path.join(tmp_path, "c.plot.csv")
     assert main(["plotdata", cmp_path, "--out", out2]) == 0
-    assert open(out2).read().startswith("index,relgap\n")
+    assert Path(out2).read_text().startswith("index,relgap\n")
 
     _, _, warp_path = run_json(tmp_path, "w.json",
                                ["warp", "--diagram", "trivial-s2",
                                 "--grid", "128", "--scales", "0.5"])
     out3 = os.path.join(tmp_path, "w.plot.csv")
     assert main(["plotdata", warp_path, "--out", out3]) == 0
-    assert open(out3).read().startswith("scale,lambda1_warped\n")
+    assert Path(out3).read_text().startswith("scale,lambda1_warped\n")
 
 
 def test_plotdata_from_profile_csv(tmp_path):
@@ -282,28 +324,43 @@ def test_plotdata_from_profile_csv(tmp_path):
           "--dump-profile", prof, "--out", os.path.join(tmp_path, "x.json")])
     out = os.path.join(tmp_path, "p.plot.csv")
     assert main(["plotdata", prof, "--out", out]) == 0
-    assert open(out).read().startswith("t,w\n")
+    assert Path(out).read_text().startswith("t,w\n")
 
 
 def test_plotdata_rejects_malformed_input(tmp_path, capsys):
     bad = os.path.join(tmp_path, "bad.json")
-    open(bad, "w").write("{not json")
+    Path(bad).write_text("{not json")
     assert main(["plotdata", bad]) == 5
     missing = os.path.join(tmp_path, "nope.json")
     assert main(["plotdata", missing]) == 5
     badcsv = os.path.join(tmp_path, "bad.csv")
-    open(badcsv, "w").write("a,b\n1,2\n")
+    Path(badcsv).write_text("a,b\n1,2\n")
     assert main(["plotdata", badcsv]) == 5
     # verify reports hold no series
     _, _, vpath = run_json(tmp_path, "v.json",
                            ["verify", "--diagram", "hopf", "--samples", "10"])
     assert main(["plotdata", vpath]) == 5
+    # a row with one field, an empty series, a value that is not finite:
+    # each is refused with a message before any output is written
+    svg = os.path.join(tmp_path, "never.svg")
+    for name, text in [
+            ("one_field.csv", "t,w,h\n0.0,1.0,0.0\n0.5\n"),
+            ("empty.json", '{"command": "spectrum", "result": {"modes": []}}'),
+            ("inf.json", '{"command": "compare", "result": {"relgaps": [1e400]}}')]:
+        path = os.path.join(tmp_path, name)
+        Path(path).write_text(text)
+        capsys.readouterr()
+        assert main(["plotdata", path, "--svg", svg]) == 5, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert "malformed plotdata input" in captured.err, name
+        assert not os.path.exists(svg), name
 
 
 def test_outputs_are_deterministic(tmp_path):
     argv = ["spectrum", "--diagram", "trivial-s2", "--grid", "128",
             "--modes", "2", "--out", os.path.join(tmp_path, "det.json")]
     assert main(list(argv)) == 0
-    first = open(argv[-1], "rb").read()
+    first = Path(argv[-1]).read_bytes()
     assert main(list(argv)) == 0
-    assert open(argv[-1], "rb").read() == first
+    assert Path(argv[-1]).read_bytes() == first

@@ -108,11 +108,12 @@ def test_sections_are_right_inverses():
 
 
 def _parts(v):
-    """A map's value as a tuple of float arrays, one per stored field."""
+    """A map's value as a tuple of float arrays, one per stored field
+    (nested tuples and quaternions flattened)."""
     if isinstance(v, Quaternion):
         return tuple(np.asarray(c, dtype=float) for c in (v.w, v.x, v.y, v.z))
     if isinstance(v, tuple):
-        return tuple(np.asarray(c, dtype=float) for c in v)
+        return sum((_parts(c) for c in v), ())
     return (np.asarray(v, dtype=float),)
 
 
@@ -121,26 +122,42 @@ def _batch(points):
     if isinstance(points[0], Quaternion):
         return Quaternion(*(np.array(c) for c in zip(*(_parts(q) for q in points))))
     if isinstance(points[0], tuple):
-        return tuple(np.array(c) for c in zip(*points))
+        return tuple(_batch(list(c)) for c in zip(*points))
     return np.array(points)
 
 
+def _both_sides(first, second):
+    """Both outcomes of a chart test |first| >= |second| occur."""
+    larger = np.array([f.norm() >= s.norm() for f, s in zip(first, second)])
+    return larger.any() and not larger.all()
+
+
 def test_batched_maps_equal_their_one_point_values_bitwise():
-    # the profiles evaluate the diagram maps on whole batches; every map
-    # must give the very same bits as one point at a time
+    # the profiles and isotropy probes evaluate the diagram maps on whole
+    # batches; every map must give the very same bits as one point at a
+    # time
     rng = np.random.default_rng(12)
-    for eid in ("trivial-s2", "hopf"):
+    for eid in CATALOG_IDS:
         d = catalog(eid)
         ps = [d.random_point(rng) for _ in range(257)]
         gs = [random_element(d.group, rng) for _ in range(257)]
-        # the last quotient points sit where the first hopf chart fails
-        cut = [np.array([-1.0, 0.0, 0.0])]
-        xs = [d.proj_bullet(p) for p in ps[:-1]] + cut
-        ys = [d.proj_star(p) for p in ps[:-1]] + cut
-        for pts in (xs, ys):
-            firsts = np.array([v[0] for v in pts])
-            assert np.any(firsts <= -0.5) and np.any(firsts > -0.5)
-        g = GroupElement(d.group, np.array([h.data for h in gs]))
+        xs = [d.proj_bullet(p) for p in ps]
+        ys = [d.proj_star(p) for p in ps]
+        if eid == "gm":
+            # both charts of proj_star (|c| >= |d|, on P and on the
+            # bullet-moved M' points of residual_bullet) and of
+            # section_bullet (|a| >= |b|)
+            assert _both_sides([p[0][1] for p in ps], [p[1][1] for p in ps])
+            moved = [d.bullet_action(g, y) for g, y in zip(gs, ys)]
+            assert _both_sides([m[0][1] for m in moved], [m[1][1] for m in moved])
+            assert _both_sides([x[0] for x in xs], [x[1] for x in xs])
+        else:
+            # the last quotient points sit where the first hopf chart fails
+            xs[-1] = ys[-1] = np.array([-1.0, 0.0, 0.0])
+            for pts in (xs, ys):
+                firsts = np.array([v[0] for v in pts])
+                assert np.any(firsts <= -0.5) and np.any(firsts > -0.5)
+        g = GroupElement(d.group, _batch([h.data for h in gs]))
         cases = {
             "bullet_action": (lambda i: (gs[i], ps[i]), (g, _batch(ps))),
             "star_action": (lambda i: (gs[i], ps[i]), (g, _batch(ps))),
@@ -201,17 +218,29 @@ def test_gm_canonical_representative():
         assert math.hypot(chosen.x, math.hypot(chosen.y, chosen.z)) <= 1e-12
 
 
+def _net_element(net, i):
+    """Element i of a batched group net, as a one-point GroupElement."""
+    data = net.data
+    if isinstance(data, Quaternion):
+        data = Quaternion(*(float(c[i]) for c in (data.w, data.x, data.y, data.z)))
+    else:
+        data = float(data[i])
+    return GroupElement(net.group, data)
+
+
 def test_both_actions_are_free():
     rng = np.random.default_rng(7)
     for eid in CATALOG_IDS:
         d = catalog(eid)
         e = identity(d.group)
+        net = group_net(d.group, 8)
         for _ in range(50):
             p = d.random_point(rng)
             for which in ("bullet", "star"):
-                fixers = isotropy_probe(d, which, p, grid=8)
+                fixers = np.flatnonzero(isotropy_probe(d, which, p, grid=8))
                 assert len(fixers) == 1
-                assert fixers[0].group == e.group and fixers[0].data == e.data
+                first = _net_element(net, fixers[0])
+                assert first.group == e.group and first.data == e.data
 
 
 def test_isotropy_compare_generic_points():
@@ -235,11 +264,24 @@ def test_isotropy_compare_special_points():
 
 def test_group_net_shape():
     net = group_net("s1", 12)
-    assert len(net) == 12
-    assert net[0].data == 0.0
+    assert net.data.shape == (12,)
+    assert _net_element(net, 0).data == 0.0
     net3 = group_net("s3", 8)
-    assert net3[0].data == QUAT_ONE
-    assert all(abs(g.data.norm() - 1.0) < 1e-12 for g in net3)
+    # the ring-by-ring loop is the reference: at eta = 0 only xi1 runs,
+    # at eta = pi/2 only xi2, in between both
+    etas = np.linspace(0.0, math.pi / 2.0, 4)
+    angles = 2.0 * math.pi * np.arange(8) / 8
+    ref = []
+    for i, eta in enumerate(etas):
+        for x1 in (angles if i < 3 else angles[:1]):
+            for x2 in (angles if i > 0 else angles[:1]):
+                ref.append((math.cos(eta) * math.cos(x1), math.cos(eta) * math.sin(x1),
+                            math.sin(eta) * math.cos(x2), math.sin(eta) * math.sin(x2)))
+    got = np.stack([net3.data.w, net3.data.x, net3.data.y, net3.data.z], axis=-1)
+    assert got.shape == (8 + 2 * 64 + 8, 4)
+    assert np.max(np.abs(got - ref)) <= 4e-16
+    assert _net_element(net3, 0).data == QUAT_ONE
+    assert np.all(np.abs(net3.data.norm() - 1.0) < 1e-12)
     with pytest.raises(ValueError):
         group_net("s1", 1)
 

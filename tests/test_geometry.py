@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_blocked_p_profile_matches_one_einsum():
     n = 2 * geometry._P_BLOCK + 500
     u = np.sin(np.linspace(0.0, 3.0, 33))
     rule = haar_rule("s1", 8)
-    angles = np.array([g.data for g in rule.nodes])
+    angles = rule.nodes.data
     for eid in ("trivial-s2", "hopf"):
         d = catalog(eid)
         m = kaluza_klein(d)
@@ -246,16 +247,16 @@ def test_write_profile_round_trip(tmp_path):
     p = orbit_profile(m, "M", 64)
     csv_path = os.path.join(tmp_path, "prof.csv")
     sidecar = write_profile(p, m, csv_path)
-    lines = open(csv_path).read().strip().splitlines()
+    lines = Path(csv_path).read_text().strip().splitlines()
     assert lines[0] == "t,w,h"
     assert len(lines) == p.n + 2
     t0, w0, _ = lines[1].split(",")
     assert float(t0) == 0.0 and float(w0) == 0.0
     ti, wi, _ = lines[33].split(",")
     assert float(ti) == p.t[32] and float(wi) == p.w[32]
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(Path(sidecar).read_text())
     assert meta["entry"] == "hopf" and meta["side"] == "M"
     assert meta["n"] == 64 and meta["endpoints"] == ["collapsing", "collapsing"]
     # rewriting is atomic and idempotent
     write_profile(p, m, csv_path)
-    assert open(csv_path).read().strip().splitlines() == lines
+    assert Path(csv_path).read_text().strip().splitlines() == lines
