@@ -137,12 +137,15 @@ class _HopfGeometry:
         return quat_dot(v, -quat_mul(p, QUAT_I))
 
     def gram(self, m, p):
+        # dpi and nu at Z = i p written out, with p i formed once
+        pi = quat_mul(p, QUAT_I)
         z = quat_mul(QUAT_I, p)
-        nuz = self.nu(m, p, z)
-        dz = self.dpi(m, p, z)
-        mm = m.radius ** 2 * np.sum(dz * dz, axis=-1)
-        e = _warp_factor(m, self.t_of_P(m, p))
-        b = e * self.b0(m)
+        nuz = quat_dot(z, -pi)
+        dz = quat_mul(quat_mul(z, QUAT_I), p.conj()) + quat_mul(pi, z.conj())
+        mm = m.radius ** 2 * (dz.x * dz.x + dz.y * dz.y + dz.z * dz.z)
+        # unwarped, E is ones and t is not needed
+        b = (np.full(np.shape(nuz), self.b0(m)) if m.warp_u is None
+             else _warp_factor(m, self.t_of_P(m, p)) * self.b0(m))
         return b, b * nuz, mm + b * nuz * nuz
 
     def metric_inner(self, m, p, v, u):
@@ -181,10 +184,9 @@ class _TrivialGeometry:
         x = p[0]
         s2 = x[..., 0] ** 2 + x[..., 1] ** 2
         nuz = self._nu_z(m, x)
-        e = _warp_factor(m, self.t_of_base(m, x))
-        b = e * m.fiber_scale
-        return (b * np.ones_like(s2), b * nuz,
-                m.radius ** 2 * s2 + b * nuz * nuz)
+        b = (np.full(np.shape(s2), m.fiber_scale) if m.warp_u is None
+             else _warp_factor(m, self.t_of_base(m, x)) * m.fiber_scale)
+        return b, b * nuz, m.radius ** 2 * s2 + b * nuz * nuz
 
     def _a2(self, m, s2):
         r2, q = m.radius ** 2, m.fiber_scale

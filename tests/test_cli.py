@@ -94,6 +94,7 @@ def test_spectrum_profile_dump(tmp_path):
 
 
 def test_profile_dump_builds_each_grid_once(tmp_path, monkeypatch):
+    # a Richardson pair builds its grid-n profile only; n/2 is its even nodes
     built = []
     orig = cli.geometry.orbit_profile
 
@@ -103,11 +104,18 @@ def test_profile_dump_builds_each_grid_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.geometry, "orbit_profile", counting)
     prof = os.path.join(tmp_path, "prof.csv")
-    rc, _, _ = run_json(tmp_path, "s.json",
-                        ["spectrum", "--diagram", "hopf", "--side", "P",
-                         "--grid", "128", "--modes", "2", "--dump-profile", prof])
-    assert rc == 0
-    assert sorted(built) == [("P", 64), ("P", 128)]
+    for argv, builds in [
+            (["spectrum", "--diagram", "hopf", "--side", "P", "--grid", "128",
+              "--modes", "2", "--dump-profile", prof], [("P", 128)]),
+            (["compare", "--diagram", "hopf", "--grid", "128", "--modes", "2"],
+             [("M", 128), ("Mprime", 128)]),
+            # the unwarped base, the scale-0 control and the 0.5 row
+            (["warp", "--diagram", "hopf", "--grid", "128", "--scales", "0.5"],
+             [("Mprime", 128)] * 3)]:
+        built.clear()
+        rc, _, _ = run_json(tmp_path, "out.json", argv)
+        assert rc == 0
+        assert sorted(built) == builds, argv[0]
     # the dump is the profile the solve used, as a fresh build writes it
     m = cli.geometry.kaluza_klein("hopf")
     assert Path(prof).read_text() == cli.geometry.profile_csv_text(orig(m, "P", 128))

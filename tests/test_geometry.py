@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bsl.geometry as geometry
-from bsl.algebra import GroupElement, haar_rule
+from bsl.algebra import QUAT_I, GroupElement, haar_rule, quat_mul
 from bsl.diagrams import catalog
 from bsl.geometry import (
     GridMismatch,
@@ -111,6 +111,33 @@ def test_blocked_p_profile_matches_one_einsum():
             ref = np.einsum("ijk,j,k->i", jac, rule.weights, rule.weights)
             ref[0] = ref[-1] = 0.0
             assert np.array_equal(orbit_profile(metric, "P", n).w, ref), eid
+
+
+def test_lean_hopf_gram_matches_metric_inner():
+    # gram writes dpi and nu at Z = i p out by hand; metric_inner is the
+    # definition it must agree with, at pushed P points
+    d = catalog("hopf")
+    m = kaluza_klein(d)
+    rule = haar_rule("s1", 8)
+    angles = rule.nodes.data
+    for metric in (m, warp(m, np.sin(np.linspace(0.0, 3.0, 33)), 0.7)):
+        geom = geometry._geom(metric)
+        t = np.linspace(0.0, orbit_space_length(metric), 257)
+        p = d.star_action(GroupElement("s1", angles[:, None]),
+                          d.bullet_action(GroupElement("s1", angles),
+                                          geom.curve_P(metric, t[:, None, None])))
+        z = quat_mul(QUAT_I, p)
+        w = -quat_mul(p, QUAT_I)
+        a_ww, a_wz, a_zz = geom.gram(metric, p)
+        ref_ww, ref_wz, ref_zz = (geometry.metric_inner(metric, p, w, w),
+                                  geometry.metric_inner(metric, p, w, z),
+                                  geometry.metric_inner(metric, p, z, z))
+        assert np.array_equal(a_zz.view(np.uint64), ref_zz.view(np.uint64))
+        assert a_ww.shape == a_wz.shape == ref_zz.shape
+        assert np.max(np.abs(a_ww - ref_ww) / ref_ww) <= 4e-15
+        # a_wz vanishes at some points, so it is measured against its
+        # Cauchy-Schwarz bound sqrt(a_ww a_zz)
+        assert np.max(np.abs(a_wz - ref_wz) / np.sqrt(ref_ww * ref_zz)) <= 4e-15
 
 
 def test_warp_never_touches_the_bullet_quotient():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bsl.lab as lab
 from bsl.diagrams import catalog
 from bsl.eigen import eigenpairs
 from bsl.geometry import GridMismatch, kaluza_klein, orbit_profile, warp
@@ -192,3 +193,34 @@ def test_extrapolated_spectrum_api():
         extrapolated_spectrum(m, "M", 2, 101)
     with pytest.raises(ValueError):
         extrapolated_spectrum(m, "M", 2, 30)
+
+
+@pytest.mark.parametrize("eid", ["hopf", "trivial-s2"])
+def test_derived_half_profile_equals_a_fresh_build(eid, monkeypatch):
+    # the n/2 profile of a Richardson pair is the even nodes of the grid-n
+    # build; that rests on linspace subsampling exactly and on every node
+    # being evaluated on its own (P blocks included)
+    seen = []
+    orig = lab.assemble
+
+    def recording(prof):
+        seen.append(prof)
+        return orig(prof)
+
+    monkeypatch.setattr(lab, "assemble", recording)
+    m = kaluza_klein(eid)
+    for metric in (m, warp(m, np.sin(np.linspace(0.0, 3.0, 33)), 0.7)):
+        for side in ("M", "Mprime", "P"):
+            for n in (32, 34, 1000, 2 * lab.geometry._P_BLOCK + 2, 8192):
+                seen.clear()
+                lab._solve_pair(metric, side, 1, n)
+                half = seen[0]
+                fresh = orbit_profile(metric, side, n // 2)
+                assert (half.n, half.L, half.side, half.entry_id) == \
+                    (fresh.n, fresh.L, fresh.side, fresh.entry_id)
+                assert (half.fingerprint, half.endpoints) == \
+                    (fresh.fingerprint, fresh.endpoints)
+                for a, b in ((half.t, fresh.t), (half.w, fresh.w)):
+                    assert a.flags.c_contiguous and not a.flags.writeable
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), \
+                        (side, n, metric.warp_u is None)
