@@ -130,8 +130,10 @@ def cmd_catalog(args) -> int:
 
 def _spectrum_result(spec) -> dict:
     return {"side": spec.side, "n": spec.n, "fingerprint": spec.fingerprint,
-            "modes": [{"lambda": lam, "mult": mult, "err": err}
-                      for lam, mult, err in spec.values]}
+            # modes are simple; "mult" stays, always 1, for schema stability
+            "modes": [{"lambda": lam, "mult": 1, "err": err}
+                      for lam, err in zip(spec.lambdas.tolist(),
+                                          spec.errors.tolist())]}
 
 
 def cmd_spectrum(args) -> int:
@@ -147,11 +149,11 @@ def cmd_spectrum(args) -> int:
     cfg = _base_config(args, diagram=args.diagram, side=args.side,
                        grid=args.grid, modes=args.modes,
                        include_zero=args.include_zero)
+    result = _spectrum_result(spec)
     lines = ["index,lambda,mult,err"]
-    for i, (lam, mult, err) in enumerate(spec.values, 1):
-        lines.append(f"{i},{lam!r},{mult},{err!r}")
-    return _emit(args, "spectrum", cfg, _spectrum_result(spec),
-                 csv_text="\n".join(lines) + "\n")
+    for i, mode in enumerate(result["modes"], 1):
+        lines.append(f"{i},{mode['lambda']!r},{mode['mult']},{mode['err']!r}")
+    return _emit(args, "spectrum", cfg, result, csv_text="\n".join(lines) + "\n")
 
 
 def cmd_compare(args) -> int:

@@ -50,21 +50,25 @@ class FingerprintMismatch(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BasicSpectrum:
-    """Nonzero modes as (value, multiplicity, error) triples, ascending."""
-    values: tuple
+    """Nonzero modes, ascending: mode j has eigenvalue lambdas[j] and error
+    estimate errors[j] (zero for a single-grid solve).
+
+    Modes are simple: every condensed pencil is an unreduced Jacobi
+    matrix, whose eigenvalues are distinct.  Both arrays are read-only.
+    """
+    lambdas: np.ndarray
+    errors: np.ndarray
     n: int
     side: str
     fingerprint: str
 
-    def lambdas(self) -> np.ndarray:
-        """Values expanded with multiplicity, ascending."""
-        return self.expanded()[0]
-
-    def expanded(self):
-        """(values, errors), each expanded with multiplicity."""
-        v = np.array(self.values, dtype=float).reshape(-1, 3)
-        mults = v[:, 1].astype(int)
-        return np.repeat(v[:, 0], mults), np.repeat(v[:, 2], mults)
+    def __post_init__(self):
+        for name in ("lambdas", "errors"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if self.lambdas.shape != self.errors.shape or self.lambdas.ndim != 1:
+            raise ValueError("lambdas and errors must be 1-D arrays of one length")
 
 
 def _span(op: DiscreteOperator):
@@ -121,12 +125,14 @@ def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
 def eigenpairs(op: DiscreteOperator, k: int):
     """First k nonzero modes: (values, vectors) with vectors on the full grid.
 
-    Vectors are B-orthonormal (u^T B u = 1, degenerate clusters
-    Gram-Schmidt'ed in the B inner product) and signed positive at their
-    largest-magnitude node.  Raises TooManyModes if the grid cannot hold
-    k nonzero modes, and ConvergenceFailure if a pair misses its
-    certificate: backward error above 64 eps, or, on grids up to 1024,
-    pencil residual ||A u - lambda B u|| above 1e-9 ||B u||.
+    The condensed matrix is an unreduced Jacobi matrix, so the values are
+    distinct and LAPACK's vectors orthonormal: expanded, they are
+    B-orthonormal with no Gram-Schmidt pass.  Each is B-normalised once
+    and signed positive at its largest-magnitude node.  Raises
+    TooManyModes if the grid cannot hold k nonzero modes, and
+    ConvergenceFailure if a pair misses its certificate: backward error
+    above 64 eps, or, on grids up to 1024, pencil residual
+    ||A u - lambda B u|| above 1e-9 ||B u||.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -147,34 +153,14 @@ def eigenpairs(op: DiscreteOperator, k: int):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
             "LAPACK tridiagonal solve failed for modes 1-%d %s: %s" % (k, where, exc))
-    vecs = np.empty((op.n + 1, k))
-    for j in range(k):
-        vecs[:, j] = _expand(op, vs[:, j] / sb)
-
-    # B-orthonormalise near-degenerate clusters so multiplicities are clean
-    groups = _cluster(lams)
-    for idx in groups:
-        for a in range(len(idx)):
-            ja = idx[a]
-            for c in range(a):
-                jc = idx[c]
-                coef = vecs[:, jc] @ (op.mass * vecs[:, ja])
-                vecs[:, ja] = vecs[:, ja] - coef * vecs[:, jc]
-            nrm = np.sqrt(vecs[:, ja] @ (op.mass * vecs[:, ja]))
-            if nrm <= 0.0:
-                raise ConvergenceFailure(
-                    "B-norm %.3e <= 0 after orthogonalising mode %d against "
-                    "its cluster %s" % (nrm, ja + 1, where))
-            vecs[:, ja] /= nrm
-
     # largest absolute row sum of C
     cnorm = float(np.max(_tridiag_matvec(np.abs(cd), np.abs(ce), np.ones(cd.size))))
     eta_max = _BACKWARD_C * np.finfo(float).eps
     lo, hi = _span(op)
+    vecs = np.empty((op.n + 1, k))
     for j in range(k):
-        u = vecs[:, j]
-        nrm = np.sqrt(u @ (op.mass * u))
-        u /= nrm
+        u = _expand(op, vs[:, j] / sb)
+        u /= np.sqrt(u @ (op.mass * u))
         if u[np.argmax(np.abs(u))] < 0.0:
             u = -u
         vecs[:, j] = u
@@ -196,46 +182,11 @@ def eigenpairs(op: DiscreteOperator, k: int):
     return lams, vecs
 
 
-def _cluster(lams: np.ndarray):
-    """Indices of near-equal eigenvalues, using the multiplicity tolerance."""
-    groups = []
-    cur = [0]
-    for i in range(1, lams.size):
-        if lams[i] - lams[cur[0]] <= max(1e-8, 1e-6 * abs(lams[i])):
-            cur.append(i)
-        else:
-            groups.append(cur)
-            cur = [i]
-    groups.append(cur)
-    return groups
-
-
-def group_modes(lams, errs=None):
-    """Fold a sorted value list into (value, multiplicity, error) triples."""
-    lams = np.asarray(lams, dtype=float)
-    if errs is None:
-        errs = np.zeros_like(lams)
-    else:
-        errs = np.asarray(errs, dtype=float)
-    out = []
-    for idx in _cluster(lams):
-        vals = lams[idx]
-        out.append((float(np.mean(vals)), len(idx), float(np.max(errs[idx]))))
-    return tuple(out)
-
-
-def solve(op: DiscreteOperator, k: int, include_zero: bool = False) -> BasicSpectrum:
-    """First k nonzero eigenvalues of the pencil, grouped by multiplicity.
-
-    The zero mode is known exactly (constants), so with include_zero it is
-    prepended as (0, 1, 0) rather than solved for.
-    """
+def solve(op: DiscreteOperator, k: int) -> BasicSpectrum:
+    """First k nonzero eigenvalues of the pencil, with zero error estimates."""
     lams, _vecs = eigenpairs(op, k)
-    values = group_modes(lams)
-    if include_zero:
-        values = ((0.0, 1, 0.0),) + values
-    return BasicSpectrum(values=values, n=op.n, side=op.side,
-                         fingerprint=op.fingerprint)
+    return BasicSpectrum(lambdas=lams, errors=np.zeros(k), n=op.n,
+                         side=op.side, fingerprint=op.fingerprint)
 
 
 def rayleigh(op: DiscreteOperator, u) -> float:
@@ -259,13 +210,12 @@ def extrapolate(coarse: BasicSpectrum, fine: BasicSpectrum) -> BasicSpectrum:
         raise FingerprintMismatch("spectra come from different pencils")
     if fine.n != 2 * coarse.n:
         raise ValueError("extrapolation needs grids n and 2n")
-    l1 = coarse.lambdas()
-    l2 = fine.lambdas()
+    l1 = coarse.lambdas
+    l2 = fine.lambdas
     if l1.size != l2.size:
         raise ValueError("spectra hold different mode counts")
     lam = (4.0 * l2 - l1) / 3.0
     err = np.abs(l2 - l1) / 3.0
     order = np.argsort(lam, kind="stable")
-    values = group_modes(lam[order], err[order])
-    return BasicSpectrum(values=values, n=fine.n, side=fine.side,
-                         fingerprint=fine.fingerprint)
+    return BasicSpectrum(lambdas=lam[order], errors=err[order], n=fine.n,
+                         side=fine.side, fingerprint=fine.fingerprint)

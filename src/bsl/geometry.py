@@ -29,6 +29,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -41,8 +42,9 @@ SIDES = ("P", "M", "Mprime")
 _SIDE_ALIASES = {"p": "P", "m": "M", "mprime": "Mprime", "m'": "Mprime"}
 
 # nodes per block of the P-side profile: its torus arrays hold
-# nodes x order^2 points, so unblocked they grow with the grid
-_P_BLOCK = 1024
+# nodes x order^2 points, so unblocked they grow with the grid; at 128
+# nodes each quaternion array of a block is 256 kB, near cache size
+_P_BLOCK = 128
 
 _DEFAULTS = {
     "hopf": (0.5, 0.25),
@@ -80,6 +82,15 @@ class MetricSpec:
         if self.warp_u is not None:
             h.update(self.warp_u.tobytes())
         return h.hexdigest()[:16]
+
+    @cached_property
+    def _warp_spline(self):
+        # built once per metric, not per block of a profile; scipy's
+        # interpolate module loads only here, when a warp is present
+        from scipy.interpolate import CubicSpline
+
+        L = orbit_space_length(self)
+        return CubicSpline(np.linspace(0.0, L, self.warp_u.size), self.warp_u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +275,8 @@ def orbit_space_length(m: MetricSpec) -> float:
 def _warp_factor(m: MetricSpec, t):
     if m.warp_u is None:
         return np.ones_like(np.asarray(t, dtype=float))
-    from scipy.interpolate import CubicSpline
-
     L = orbit_space_length(m)
-    spline = CubicSpline(np.linspace(0.0, L, m.warp_u.size), m.warp_u)
-    return np.exp(2.0 * m.warp_scale * spline(np.clip(t, 0.0, L)))
+    return np.exp(2.0 * m.warp_scale * m._warp_spline(np.clip(t, 0.0, L)))
 
 
 def _geom(m: MetricSpec):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagrams, geometry
-from .eigen import BasicSpectrum, eigenpairs, extrapolate, group_modes, solve
+from .eigen import BasicSpectrum, eigenpairs, extrapolate, solve
 from .sturm import apply_stiffness, assemble, mass_quadrature
 
 K_CONSTANT = 1.0
@@ -102,8 +102,8 @@ def _solve_pair(m, side, k, n, fine=None):
     coarse = solve(assemble(half), k)
     op = assemble(fine)
     lams, vecs = eigenpairs(op, k)
-    spec = BasicSpectrum(values=group_modes(lams), n=op.n, side=op.side,
-                         fingerprint=op.fingerprint)
+    spec = BasicSpectrum(lambdas=lams, errors=np.zeros(k), n=op.n,
+                         side=op.side, fingerprint=op.fingerprint)
     return extrapolate(coarse, spec), op, vecs
 
 
@@ -112,7 +112,7 @@ def extrapolated_spectrum(m: geometry.MetricSpec, side: str, k: int, n: int,
     """Richardson-extrapolated spectrum from the grid pair (n/2, n).
 
     The zero mode is exact for constants, so include_zero prepends the
-    triple (0, 1, 0) instead of solving for it.
+    mode (0, 0), with value and error zero, instead of solving for it.
     """
     return _extrapolated(m, side, k, n, include_zero)
 
@@ -123,8 +123,8 @@ def _extrapolated(m, side, k, n, include_zero, fine=None):
     n = _grid_ok(n)
     ext, _, _ = _solve_pair(m, side, k, n, fine)
     if include_zero:
-        ext = BasicSpectrum(values=((0.0, 1, 0.0),) + ext.values, n=ext.n,
-                            side=ext.side, fingerprint=ext.fingerprint)
+        ext = replace(ext, lambdas=np.r_[0.0, ext.lambdas],
+                      errors=np.r_[0.0, ext.errors])
     return ext
 
 
@@ -140,12 +140,11 @@ def compare_basic_spectra(d, m: geometry.MetricSpec, k: int, n: int) -> CompareR
     n = _grid_ok(n)
     ext_m, _, _ = _solve_pair(m, "M", k, n)
     if entry_id == "trivial-s2" and m.warp_u is None:
-        ext_p = BasicSpectrum(values=ext_m.values, n=ext_m.n, side="Mprime",
-                              fingerprint=ext_m.fingerprint)
+        ext_p = replace(ext_m, side="Mprime")
     else:
         ext_p, _, _ = _solve_pair(m, "Mprime", k, n)
-    lm, em = ext_m.expanded()
-    lp, ep = ext_p.expanded()
+    lm, em = ext_m.lambdas, ext_m.errors
+    lp, ep = ext_p.lambdas, ext_p.errors
     if lm.size != lp.size:
         raise RuntimeError("mode counts differ between the two sides")
     denom = np.maximum(np.maximum(np.abs(lm), np.abs(lp)), 1e-300)
@@ -248,7 +247,7 @@ def warp_break(d, m: geometry.MetricSpec, scales=None, k: int = 1,
     if scales is None:
         scales = DEFAULT_SCALES
     s_un, op_un, vecs_un = _solve_pair(m, "Mprime", max(int(k), 1), n)
-    lam_un, _, err_un = s_un.values[0]
+    lam_un, err_un = s_un.lambdas[0], s_un.errors[0]
     u = vecs_un[:, 0].copy()
     pos = float(op_un.mass @ np.maximum(u, 0.0))
     neg = float(op_un.mass @ np.maximum(-u, 0.0))
@@ -261,7 +260,7 @@ def warp_break(d, m: geometry.MetricSpec, scales=None, k: int = 1,
     for c in [0.0] + [float(s) for s in scales]:
         mw = geometry.warp(m, u, c)
         s_w, op_w, vecs_w = _solve_pair(mw, "Mprime", 1, n)
-        lam_w, _, err_w = s_w.values[0]
+        lam_w, err_w = s_w.lambdas[0], s_w.errors[0]
         phi = vecs_w[:, 0]
         qw_w = mass_quadrature(op_w)
         int_phi_w = float(qw_w @ phi)

@@ -18,11 +18,10 @@ from bsl.eigen import (
     condensed,
     eigenpairs,
     extrapolate,
-    group_modes,
     rayleigh,
     solve,
 )
-from bsl.geometry import OrbitProfile, kaluza_klein, orbit_profile
+from bsl.geometry import OrbitProfile, kaluza_klein, orbit_profile, warp
 from bsl.sturm import apply_stiffness, assemble
 
 
@@ -123,11 +122,11 @@ def test_extrapolation_beats_the_fine_grid():
     coarse = solve(assemble(orbit_profile(m, "M", 128)), 3)
     fine = solve(assemble(orbit_profile(m, "M", 256)), 3)
     ext = extrapolate(coarse, fine)
-    err_fine = np.abs(fine.lambdas() - oracle) / oracle
-    err_ext = np.abs(ext.lambdas() - oracle) / oracle
+    err_fine = np.abs(fine.lambdas - oracle) / oracle
+    err_ext = np.abs(ext.lambdas - oracle) / oracle
     assert np.all(err_ext < 0.05 * err_fine)
     # and the reported error estimate brackets the truth comfortably
-    for (lam, _, est), truth in zip(ext.values, oracle):
+    for lam, est, truth in zip(ext.lambdas, ext.errors, oracle):
         assert abs(lam - truth) <= 10.0 * max(est, 1e-12)
 
 
@@ -193,25 +192,50 @@ def test_backward_error_certificate_up_to_the_finest_grid():
                     assert eta <= bound, (eid, side, n, j, eta)
 
 
-def test_group_modes_merges_close_values():
-    vals = [4.0, 4.0 + 1e-7, 9.0]
-    errs = [1e-3, 2e-3, 5e-4]
-    grouped = group_modes(vals, errs)
-    assert len(grouped) == 2
-    lam0, mult0, err0 = grouped[0]
-    assert mult0 == 2 and abs(lam0 - (4.0 + 5e-8)) <= 1e-12 and err0 == 2e-3
-    assert grouped[1] == (9.0, 1, 5e-4)
-    # well-separated values stay apart
-    assert len(group_modes([1.0, 1.1])) == 2
+def test_extrapolation_keeps_close_modes_apart():
+    # modes are simple: a pair 1e-7 apart stays two modes, each with the
+    # error estimate of its own grid pair
+    fine_vals = np.array([4.0, 4.0 + 1e-7, 9.0])
+    errs = np.array([1e-9, 2e-9, 5e-9])
+
+    def spectrum(n, lams):
+        return BasicSpectrum(lambdas=lams, errors=np.zeros(3), n=n, side="M",
+                             fingerprint="synthetic")
+
+    ext = extrapolate(spectrum(128, fine_vals - 3.0 * errs),
+                      spectrum(256, fine_vals))
+    assert ext.lambdas.size == 3 and np.all(np.diff(ext.lambdas) > 0.0)
+    assert np.allclose(ext.lambdas, fine_vals + errs, rtol=0.0, atol=1e-14)
+    assert np.allclose(ext.errors, errs, rtol=1e-5, atol=0.0)
 
 
-def test_solve_include_zero():
+def test_solve_returns_a_basic_spectrum():
+    # the exact zero mode is prepended by extrapolated_spectrum only
     op = hopf_operator(128)
-    spec = solve(op, 2, include_zero=True)
-    assert spec.values[0] == (0.0, 1, 0.0)
-    assert len(spec.lambdas()) == 3
+    spec = solve(op, 2)
     assert isinstance(spec, BasicSpectrum)
     assert spec.fingerprint == op.fingerprint
+    assert spec.lambdas.size == 2 and spec.lambdas[0] > 0.0
+    assert np.array_equal(spec.errors, np.zeros(2))
+    assert not spec.lambdas.flags.writeable and not spec.errors.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1024, 8192])
+def test_catalog_spectra_are_simple_and_b_orthonormal(n):
+    # what the simple-mode spectrum rests on: distinct values, well apart,
+    # and B-orthonormal vectors straight from LAPACK
+    u = np.sin(np.linspace(0.0, 3.0, 33))
+    for eid in ("trivial-s2", "hopf"):
+        m = kaluza_klein(catalog(eid))
+        for metric in (m, warp(m, u, 0.7)):
+            for side in ("M", "Mprime", "P"):
+                op = assemble(orbit_profile(metric, side, n))
+                lams, vecs = eigenpairs(op, 64)
+                case = (eid, side, n, metric.warp_u is None)
+                assert np.all(np.diff(lams) > 0.0), case
+                assert np.min(np.diff(lams) / lams[1:]) >= 1e-3, case
+                gram = vecs.T @ (op.mass[:, None] * vecs)
+                assert np.max(np.abs(gram - np.eye(64))) <= 1e-13, case
 
 
 def test_eigenpairs_validates_requests():

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,37 @@ def test_blocked_p_profile_matches_one_einsum():
             ref = np.einsum("ijk,j,k->i", jac, rule.weights, rule.weights)
             ref[0] = ref[-1] = 0.0
             assert np.array_equal(orbit_profile(metric, "P", n).w, ref), eid
+
+
+@pytest.mark.parametrize("eid", ["trivial-s2", "hopf"])
+def test_warped_p_profile_builds_one_spline(eid, monkeypatch):
+    # the warp spline belongs to the metric, not to one block of a profile
+    import scipy.interpolate
+
+    built = []
+    spline = scipy.interpolate.CubicSpline
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return spline(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
+    m = warp(kaluza_klein(catalog(eid)), np.sin(np.linspace(0.0, 3.0, 33)), 0.7)
+    orbit_profile(m, "P", 3 * geometry._P_BLOCK + 5)
+    assert len(built) == 1
+
+
+def test_only_a_warp_loads_scipy_interpolate():
+    code = ("import sys, numpy as np, bsl\n"
+            "m = bsl.kaluza_klein('hopf')\n"
+            "for side in ('M', 'Mprime', 'P'):\n"
+            "    bsl.orbit_profile(m, side, 64)\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            "bsl.orbit_profile(bsl.warp(m, np.zeros(8), 1.0), 'P', 64)\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_lean_hopf_gram_matches_metric_inner():

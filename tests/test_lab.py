@@ -187,8 +187,9 @@ def test_fubini_defect_validates_table():
 def test_extrapolated_spectrum_api():
     m = kaluza_klein("hopf")
     spec = extrapolated_spectrum(m, "M", 2, 256, include_zero=True)
-    assert spec.values[0] == (0.0, 1, 0.0)
-    assert abs(spec.values[1][0] - 8.0) <= 1e-5
+    assert (spec.lambdas[0], spec.errors[0]) == (0.0, 0.0)
+    assert spec.lambdas.size == 3
+    assert abs(spec.lambdas[1] - 8.0) <= 1e-5
     with pytest.raises(ValueError):
         extrapolated_spectrum(m, "M", 2, 101)
     with pytest.raises(ValueError):
