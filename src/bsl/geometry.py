@@ -16,11 +16,14 @@ total space the round 3-sphere), the trivial product entry bends its
 horizontal distribution so the star orbits keep constant length, which
 needs fiber scale above r^2.
 
-Orbit-volume profiles are computed by pushing Haar quadrature nodes
-through the diagram's own maps (the catalog's actions, projections,
-residual actions and sections, evaluated on whole batches) and summing
-metric Jacobians at the pushed points, so this module holds only the
-metric; the closed forms these reproduce live only in the test suite.
+Quotient orbit-volume profiles are computed by pushing Haar quadrature
+nodes through the diagram's own maps (the catalog's residual actions,
+projections and sections, evaluated on whole batches) and summing metric
+Jacobians at the pushed points.  On P the two circle actions commute and
+act by isometries, so the Gram matrix of their generators is constant on
+each torus orbit and one point per orbit gives the Haar integral.  This
+module holds only the metric; the closed forms these reproduce live only
+in the test suite.
 """
 
 import hashlib
@@ -34,17 +37,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import QUAT_I, GroupElement, Quaternion, haar_rule, quat_dot, quat_mul
+from .algebra import QUAT_I, Quaternion, haar_rule, quat_dot, quat_mul
 from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES, _imag_vec, catalog
 
 SIDES = ("P", "M", "Mprime")
 
 _SIDE_ALIASES = {"p": "P", "m": "M", "mprime": "Mprime", "m'": "Mprime"}
 
-# nodes per block of the P-side profile: its torus arrays hold
-# nodes x order^2 points, so unblocked they grow with the grid; at 128
-# nodes each quaternion array of a block is 256 kB, near cache size
-_P_BLOCK = 128
+# Haar nodes per residual circle orbit on the quotient sides
+_HAAR_ORDER = 8
 
 _DEFAULTS = {
     "hopf": (0.5, 0.25),
@@ -85,8 +86,8 @@ class MetricSpec:
 
     @cached_property
     def _warp_spline(self):
-        # built once per metric, not per block of a profile; scipy's
-        # interpolate module loads only here, when a warp is present
+        # built once per metric; scipy's interpolate module loads only
+        # here, when a warp is present
         from scipy.interpolate import CubicSpline
 
         L = orbit_space_length(self)
@@ -299,13 +300,16 @@ def normalize_side(side: str) -> str:
 # profiles
 
 
-def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> OrbitProfile:
+def orbit_profile(m: MetricSpec, side: str, n: int) -> OrbitProfile:
     """Orbit-volume weight w(t_i) on the uniform orbit-space grid.
 
-    Every value is a Haar-quadrature sum of metric Jacobians at points
-    pushed through the diagram's own maps: the residual action on a
-    quotient side (lifted back to P by the star section on M'), the
-    two-sided torus action on P.  Orbit volumes count the
+    On a quotient side every value is a Haar-quadrature sum of metric
+    Jacobians at points pushed through the diagram's own maps: the
+    residual action (lifted back to P by the star section on M').  On P
+    the two circle actions commute and act by isometries, so the Gram
+    matrix of their generators is constant on each torus orbit, and the
+    weight is the torus Haar volume (2 pi)^2 times the Jacobian at the
+    orbit's point on the section curve.  Orbit volumes count the
     parameterisation with multiplicity, so a residual action that wraps
     its orbit twice reports twice the geometric length; all ratios used
     downstream are insensitive to that convention.
@@ -318,7 +322,7 @@ def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> Orbi
         raise ValueError("profile grid needs n >= 16")
     L = orbit_space_length(m)
     t = np.linspace(0.0, L, n + 1)
-    rule = haar_rule("s1", haar_order)
+    rule = haar_rule("s1", _HAAR_ORDER)
     g, wts = rule.nodes, rule.weights
 
     if side == "M":
@@ -331,17 +335,8 @@ def orbit_profile(m: MetricSpec, side: str, n: int, haar_order: int = 8) -> Orbi
         jac = np.sqrt(np.maximum(a_ww - a_wz * a_wz / a_zz, 0.0))
         w = jac @ wts
     else:
-        # pushed[i, j, k]: the section point at t_i moved by star angle j
-        # and bullet angle k
-        g_star = GroupElement("s1", g.data[:, None])
-        w = np.empty(n + 1)
-        for lo in range(0, n + 1, _P_BLOCK):
-            block = slice(lo, lo + _P_BLOCK)
-            p = geom.curve_P(m, t[block, None, None])
-            pushed = d.star_action(g_star, d.bullet_action(g, p))
-            a_ww, a_wz, a_zz = geom.gram(m, pushed)
-            jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
-            w[block] = np.einsum("ijk,j,k->i", jac, wts, wts)
+        a_ww, a_wz, a_zz = geom.gram(m, geom.curve_P(m, t))
+        w = (2.0 * math.pi) ** 2 * np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
 
     # the endpoint orbits collapse, so their volume is exactly zero; the
     # formulas above only reach 0 up to cancellation noise under a warp

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bsl.geometry as geometry
-from bsl.algebra import QUAT_I, GroupElement, haar_rule, quat_mul
+from bsl.algebra import QUAT_I, GroupElement, Quaternion, haar_rule, quat_mul
 from bsl.diagrams import catalog
 from bsl.geometry import (
     GridMismatch,
@@ -93,9 +93,11 @@ def test_zero_scale_warp_is_bitwise_inert():
             assert np.array_equal(w0, w1), (eid, side)
 
 
-def test_blocked_p_profile_matches_one_einsum():
-    # several full blocks plus a remainder, warped and unwarped
-    n = 2 * geometry._P_BLOCK + 500
+def test_p_weights_match_the_torus_haar_sum():
+    # the reference pushes 8x8 Haar nodes around each torus orbit and sums
+    # the Jacobians; one point per orbit must give the same weight, since
+    # the Gram matrix is constant along the orbit
+    n = 2548
     u = np.sin(np.linspace(0.0, 3.0, 33))
     rule = haar_rule("s1", 8)
     angles = rule.nodes.data
@@ -108,16 +110,42 @@ def test_blocked_p_profile_matches_one_einsum():
             p = geom.curve_P(metric, t[:, None, None])
             pushed = d.star_action(GroupElement("s1", angles[:, None]),
                                    d.bullet_action(GroupElement("s1", angles), p))
-            a_ww, a_wz, a_zz = geom.gram(metric, pushed)
+            gram = geom.gram(metric, pushed)
+            for a in gram:
+                assert np.max(np.abs(a - a[:, :1, :1])) <= 1e-12 * np.max(np.abs(a)), eid
+            a_ww, a_wz, a_zz = gram
             jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
             ref = np.einsum("ijk,j,k->i", jac, rule.weights, rule.weights)
             ref[0] = ref[-1] = 0.0
-            assert np.array_equal(orbit_profile(metric, "P", n).w, ref), eid
+            w = orbit_profile(metric, "P", n).w
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(ref), eid
+
+
+@pytest.mark.parametrize("eid", ["trivial-s2", "hopf"])
+def test_p_profile_hands_gram_one_point_per_orbit(eid, monkeypatch):
+    m = kaluza_klein(catalog(eid))
+    geom = geometry._geom(m)
+    gram = geom.gram
+    points = []
+
+    def counting(metric, p):
+        # a point of P is a quaternion batch (hopf) or an (x, phi) pair
+        # whose parts broadcast together
+        parts = ((p.w, p.x, p.y, p.z) if isinstance(p, Quaternion)
+                 else (p[0][..., 0], p[1]))
+        points.append(np.broadcast(*parts).size)
+        return gram(metric, p)
+
+    monkeypatch.setattr(geom, "gram", counting)
+    for metric in (m, warp(m, np.sin(np.linspace(0.0, 3.0, 33)), 0.7)):
+        points.clear()
+        orbit_profile(metric, "P", 300)
+        assert sum(points) == 301, metric.warp_u is None
 
 
 @pytest.mark.parametrize("eid", ["trivial-s2", "hopf"])
 def test_warped_p_profile_builds_one_spline(eid, monkeypatch):
-    # the warp spline belongs to the metric, not to one block of a profile
+    # the warp spline belongs to the metric: a P profile builds it once
     import scipy.interpolate
 
     built = []
@@ -129,7 +157,7 @@ def test_warped_p_profile_builds_one_spline(eid, monkeypatch):
 
     monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
     m = warp(kaluza_klein(catalog(eid)), np.sin(np.linspace(0.0, 3.0, 33)), 0.7)
-    orbit_profile(m, "P", 3 * geometry._P_BLOCK + 5)
+    orbit_profile(m, "P", 389)
     assert len(built) == 1
 
 
