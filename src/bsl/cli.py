@@ -4,7 +4,8 @@ Subcommands: catalog, spectrum, compare, warp, verify, plotdata.  Every
 JSON output is a versioned envelope {schema, tool, version, command,
 config, result} written atomically, with the RNG seed echoed in config
 so identical configurations produce byte-identical files.  Exit codes:
-0 success, 2 usage or unsupported diagram, 3 solver failure, 4 failed
+0 success, 2 usage or unsupported diagram, 3 solver failure or a profile
+weight that is not positive (a large warp scale can make one), 4 failed
 --expect assertion, 5 malformed plotdata input.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 from . import __version__, diagrams, geometry, lab
 from .eigen import ConvergenceFailure, TooManyModes
 from .geometry import NotCohomogeneityOne, _atomic_write_text
+from .sturm import NonpositiveWeight
 
 _GRID_MAX = 65536
 
@@ -67,8 +69,8 @@ def _scales_type(s: str):
         raise argparse.ArgumentTypeError("scales must be comma-separated numbers")
     if not vals:
         raise argparse.ArgumentTypeError("empty scale list")
-    if any(v < 0.0 for v in vals):
-        raise argparse.ArgumentTypeError("scales must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0.0 for v in vals):
+        raise argparse.ArgumentTypeError("scales must be finite and nonnegative")
     return vals
 
 
@@ -187,13 +189,12 @@ def _warp_row(r: lab.WarpReport) -> dict:
 
 def cmd_warp(args) -> int:
     m = geometry.kaluza_klein(args.diagram)
-    reports = lab.warp_break(args.diagram, m, scales=args.scales,
-                             k=args.modes, n=args.grid)
+    reports = lab.warp_break(args.diagram, m, scales=args.scales, n=args.grid)
     any_broke = any(r.broke_isospectrality for r in reports)
     result = {"reports": [_warp_row(r) for r in reports],
               "any_broke": any_broke}
     cfg = _base_config(args, diagram=args.diagram, grid=args.grid,
-                       modes=args.modes, expect=args.expect,
+                       expect=args.expect,
                        scales=list(args.scales) if args.scales else None)
     lines = ["scale,lambda1_unwarped,lambda1_warped,lhs,rhs,broke"]
     for r in reports:
@@ -364,10 +365,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"bsl {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=512, modes=5):
+    def common(sp, modes=True):
         sp.add_argument("--diagram", required=True, choices=diagrams.CATALOG_IDS)
-        sp.add_argument("--grid", type=_grid_type, default=grid)
-        sp.add_argument("--modes", type=_modes_type, default=modes)
+        sp.add_argument("--grid", type=_grid_type, default=512)
+        if modes:
+            sp.add_argument("--modes", type=_modes_type, default=5)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", type=_out_path)
@@ -392,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("warp", help="vertical warp-break schedule")
-    common(sp, modes=1)
+    common(sp, modes=False)
     sp.add_argument("--scales", type=_scales_type)
     sp.add_argument("--expect", choices=("isospectral", "nonisospectral"))
     sp.set_defaults(func=cmd_warp)
@@ -428,7 +430,7 @@ def main(argv=None) -> int:
     except (NotCohomogeneityOne, TooManyModes) as exc:
         print(f"bsl: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, NonpositiveWeight) as exc:
         print(f"bsl: {exc}", file=sys.stderr)
         return 3
     except LookupError as exc:

@@ -484,17 +484,16 @@ def group_net(group: str, grid: int) -> GroupElement:
     raise ValueError(f"no net for group {group!r}")
 
 
-def _probe(action, dist, p, net, tol):
+def _probe(action, dist, p, net):
     # one batched action and distance; the mask has one entry per net
     # element even when the distance does not depend on the element
     size = np.size(net.data.w if isinstance(net.data, Quaternion) else net.data)
-    return np.broadcast_to(dist(action(net, p), p) <= tol, (size,))
+    return np.broadcast_to(dist(action(net, p), p) <= FIXED_POINT_TOL, (size,))
 
 
-def isotropy_probe(d: StarDiagram, which: str, p, grid: int = 16,
-                   tol: float = FIXED_POINT_TOL) -> np.ndarray:
+def isotropy_probe(d: StarDiagram, which: str, p, grid: int = 16) -> np.ndarray:
     """Boolean mask over group_net(d.group, grid): the net elements whose
-    action moves p by at most tol.
+    action moves p by at most FIXED_POINT_TOL.
 
     The net's first element is the identity, so for a free action only
     the first entry is set.
@@ -505,7 +504,7 @@ def isotropy_probe(d: StarDiagram, which: str, p, grid: int = 16,
         action = d.star_action
     else:
         raise ValueError("which must be 'bullet' or 'star'")
-    return _probe(action, d.point_distance, p, group_net(d.group, grid), tol)
+    return _probe(action, d.point_distance, p, group_net(d.group, grid))
 
 
 def _pattern_dim(group, grid, hits, total):
@@ -518,13 +517,14 @@ def _pattern_dim(group, grid, hits, total):
     return 0
 
 
-def isotropy_compare(d: StarDiagram, p, grid: int = 16,
-                     tol: float = FIXED_POINT_TOL):
+def isotropy_compare(d: StarDiagram, p):
     """Estimated isotropy dimensions of the two residual actions at the
-    projections of p.  The two numbers agree for every diagram point."""
+    projections of p, probed on the grid-16 group net.  The two numbers
+    agree for every diagram point."""
+    grid = 16
     net = group_net(d.group, grid)
-    m_hits = _probe(d.residual_star, d.dist_m, d.proj_bullet(p), net, tol)
-    mp_hits = _probe(d.residual_bullet, d.dist_mprime, d.proj_star(p), net, tol)
+    m_hits = _probe(d.residual_star, d.dist_m, d.proj_bullet(p), net)
+    mp_hits = _probe(d.residual_bullet, d.dist_mprime, d.proj_star(p), net)
     return (_pattern_dim(d.group, grid, np.count_nonzero(m_hits), m_hits.size),
             _pattern_dim(d.group, grid, np.count_nonzero(mp_hits), mp_hits.size))
 
@@ -533,25 +533,24 @@ def isotropy_compare(d: StarDiagram, p, grid: int = 16,
 # invariant-function transport
 
 
-def transport_invariant(d: StarDiagram, f, samples: int = 64, rng=None,
-                        tol: float = FIXED_POINT_TOL):
+def transport_invariant(d: StarDiagram, f, samples: int = 64):
     """Carry an invariant function on M over to M'.
 
     The result evaluates f at the bullet projection of a star-section
     lift, so sums and products transport to sums and products through
     the very same floating evaluations.  Raises NotInvariant when f
     moves under the residual star action on sampled points, IllDefined
-    when different preimages of a sampled M'-point disagree.
+    when different preimages of a sampled M'-point disagree; both allow
+    FIXED_POINT_TOL times the largest sampled value.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     pts = [d.random_point(rng) for _ in range(samples)]
     vals = [float(f(d.proj_bullet(p))) for p in pts]
     scale = max(1.0, max(abs(v) for v in vals))
     for p, v in zip(pts, vals):
         g = random_element(d.group, rng)
         moved = float(f(d.residual_star(g, d.proj_bullet(p))))
-        if abs(moved - v) > tol * scale:
+        if abs(moved - v) > FIXED_POINT_TOL * scale:
             raise NotInvariant(
                 f"function moved by {abs(moved - v):.3e} under the residual action")
     for _ in range(samples):
@@ -562,7 +561,7 @@ def transport_invariant(d: StarDiagram, f, samples: int = 64, rng=None,
         routes = (float(f(d.proj_bullet(q0))),
                   float(f(d.proj_bullet(d.star_action(g, q0)))),
                   float(f(d.proj_bullet(p))))
-        if max(routes) - min(routes) > tol * scale:
+        if max(routes) - min(routes) > FIXED_POINT_TOL * scale:
             raise IllDefined(
                 f"preimage routes disagree by {max(routes) - min(routes):.3e}")
 

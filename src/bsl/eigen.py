@@ -4,9 +4,10 @@ The generalised problem A u = lambda B u is symmetrised to a single
 tridiagonal matrix C = B^(-1/2) A B^(-1/2).  A collapsing endpoint
 carries vanishing weight, so its node is folded into the neighbour
 before symmetrising and eigenvectors are expanded back afterwards
-(constant extension, matching the zero-flux end).  Eigenpairs of C come
-from LAPACK's tridiagonal bisection and inverse iteration (?stebz and
-?stein through scipy.linalg.eigh_tridiagonal).
+(constant extension, matching the zero-flux end): the condensed
+stiffness is the path Laplacian of the face weights on the kept nodes.
+Eigenpairs of C come from LAPACK's tridiagonal bisection and inverse
+iteration (?stebz and ?stein through scipy.linalg.eigh_tridiagonal).
 
 Every returned pair is certified by its normwise backward error
 
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sturm import DiscreteOperator, apply_stiffness, zero_mean_project
+from .sturm import (DiscreteOperator, apply_stiffness, pencil_residual,
+                    zero_mean_project)
 
 _BACKWARD_C = 64.0          # backward-error bound in units of eps; tests
                             # shrink it to force the failure path
@@ -82,22 +84,21 @@ def condensed(op: DiscreteOperator):
     """Fold collapsing-end nodes into their neighbours.
 
     Returns (d, e, b): the condensed stiffness diagonal, off-diagonal and
-    mass.  The folded row keeps only its interior face flux, and the end
-    mass moves inward, so A_c @ 1 still vanishes and B-norms of expanded
-    vectors match the full grid exactly.
+    mass.  The stiffness is the path Laplacian of the faces between the
+    kept nodes (a folded node's face carries no flux under constant
+    extension) and the end mass moves inward, so A_c @ 1 still vanishes
+    and B-norms of expanded vectors match the full grid exactly.
     """
     lo, hi = _span(op)
     if hi - lo + 1 < 3:
         raise ValueError("grid too small to condense")
-    d = op.diag[lo:hi + 1].copy()
-    e = op.off[lo:hi].copy()
+    f = op.faces[lo:hi]
+    # each kept node sums its kept faces; the end nodes have one each
+    d = (np.r_[f, 0.0] + np.r_[0.0, f]) / op.dt ** 2
+    e = -f / op.dt ** 2
     b = op.mass[lo:hi + 1].copy()
-    if lo == 1:
-        d[0] = -op.off[1]
-        b[0] += op.mass[0]
-    if hi == op.n - 1:
-        d[-1] = -op.off[op.n - 2]
-        b[-1] += op.mass[op.n]
+    b[0] += np.sum(op.mass[:lo])
+    b[-1] += np.sum(op.mass[hi + 1:])
     if np.any(b <= 0.0):
         raise ValueError("condensed mass must be positive")
     return d, e, b
@@ -106,13 +107,7 @@ def condensed(op: DiscreteOperator):
 def _expand(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     """Undo the condensation by constant extension at folded ends."""
     lo, hi = _span(op)
-    u = np.empty(op.n + 1)
-    u[lo:hi + 1] = v
-    if lo == 1:
-        u[0] = v[0]
-    if hi == op.n - 1:
-        u[-1] = v[-1]
-    return u
+    return np.pad(v, (lo, op.n - hi), mode="edge")
 
 
 def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,9 +167,7 @@ def eigenpairs(op: DiscreteOperator, k: int):
                 "backward error %.3e exceeds %.3e (%g eps) at mode %d %s"
                 % (eta, eta_max, _BACKWARD_C, j + 1, where))
         if op.n <= _RESIDUAL_MAX_N:
-            bu = op.mass * u
-            resid = np.linalg.norm(apply_stiffness(op, u) - lams[j] * bu)
-            rel = resid / np.linalg.norm(bu)
+            rel = pencil_residual(op, lams[j], u)
             if rel > _RESIDUAL_REL:
                 raise ConvergenceFailure(
                     "relative pencil residual %.3e exceeds %.0e at mode %d %s"

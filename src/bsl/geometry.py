@@ -262,8 +262,8 @@ def warp(m: MetricSpec, u, c: float) -> MetricSpec:
     arr = np.asarray(u, dtype=float)
     if arr.ndim != 1 or arr.size < 4 or not np.all(np.isfinite(arr)):
         raise GridMismatch("warp table must be a finite 1-D array with >= 4 nodes")
-    if c < 0.0:
-        raise ValueError("warp scale must be >= 0")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"warp scale must be finite and >= 0, got {c!r}")
     arr = arr.copy()
     arr.flags.writeable = False
     return replace(m, warp_u=arr, warp_scale=float(c))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagrams, geometry
 from .eigen import BasicSpectrum, eigenpairs, extrapolate, solve
-from .sturm import apply_stiffness, assemble, mass_quadrature
+from .sturm import assemble, mass_quadrature, pencil_residual
 
 K_CONSTANT = 1.0
 DEFAULT_SCALES = tuple(2.0 ** e for e in range(-4, 5))
@@ -222,14 +222,10 @@ def joint_eigenfunction_check(d, m: geometry.MetricSpec, index: int, n: int) -> 
     else:
         prof_mp = geometry.orbit_profile(m, "Mprime", n)
     op_mp = assemble(prof_mp)
-    uprime = _transport_table(diag, m, u, prof_mp)
-    bu = op_mp.mass * uprime
-    resid = apply_stiffness(op_mp, uprime) - lam * bu
-    return float(np.linalg.norm(resid) / np.linalg.norm(bu))
+    return pencil_residual(op_mp, lam, _transport_table(diag, m, u, prof_mp))
 
 
-def warp_break(d, m: geometry.MetricSpec, scales=None, k: int = 1,
-               n: int = 512):
+def warp_break(d, m: geometry.MetricSpec, scales=None, n: int = 512):
     """Vertical warp schedule on the star-side quotient.
 
     The warp direction u is the first basic eigenfunction of the
@@ -246,7 +242,7 @@ def warp_break(d, m: geometry.MetricSpec, scales=None, k: int = 1,
     n = _grid_ok(n)
     if scales is None:
         scales = DEFAULT_SCALES
-    s_un, op_un, vecs_un = _solve_pair(m, "Mprime", max(int(k), 1), n)
+    s_un, op_un, vecs_un = _solve_pair(m, "Mprime", 1, n)
     lam_un, err_un = s_un.lambdas[0], s_un.errors[0]
     u = vecs_un[:, 0].copy()
     pos = float(op_un.mass @ np.maximum(u, 0.0))

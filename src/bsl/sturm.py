@@ -1,15 +1,16 @@
 """Finite-volume discretisation of the reduced weighted operator.
 
 The quotient problem -(w u')' = lambda w u with zero-flux ends becomes a
-tridiagonal generalised pencil on the uniform profile grid.  Face
-weights are node averages, the stiffness row at an interior node is
+tridiagonal generalised pencil on the uniform profile grid.  The
+stiffness is its face weights w_{i+1/2}, node averages; at an interior node
 
     (A u)_i = -[w_{i+1/2}(u_{i+1} - u_i) - w_{i-1/2}(u_i - u_{i-1})] / dt^2
 
-with the flux simply dropped beyond the two boundary faces, and the
-lumped mass is the node weight, halved in the two end cells.  Applied in
-difference form the stiffness annihilates constants exactly, floating
-point included, which keeps the zero mode clean.
+with the flux dropped beyond the two boundary faces: A = G^T diag(faces)
+G / dt^2, G the difference matrix.  The lumped mass is the node weight,
+halved in the two end cells.  Applied in difference form the stiffness
+annihilates constants exactly, floating point included, which keeps the
+zero mode clean.
 """
 
 from dataclasses import dataclass
@@ -25,14 +26,11 @@ class NonpositiveWeight(ValueError):
 class DiscreteOperator:
     n: int
     dt: float
-    diag: np.ndarray     # stiffness diagonal, n + 1 entries
-    off: np.ndarray      # stiffness sub/superdiagonal, n entries
     mass: np.ndarray     # lumped mass diagonal (node weights, ends halved)
-    faces: np.ndarray    # face weights used by the difference-form apply
+    faces: np.ndarray    # face weights, n entries: the whole stiffness
     endpoints: tuple
     side: str
     fingerprint: str
-    L: float
 
 
 def assemble(profile) -> DiscreteOperator:
@@ -41,24 +39,21 @@ def assemble(profile) -> DiscreteOperator:
     n = profile.n
     if w.shape != (n + 1,):
         raise ValueError("profile arrays are inconsistent with its grid size")
-    if np.any(w[1:-1] <= 0.0):
-        raise NonpositiveWeight("weight must be positive on interior nodes")
-    dt = profile.dt
+    bad = ~(w[1:-1] > 0.0)      # NaN counts as bad
+    if np.any(bad):
+        i = int(np.argmax(bad)) + 1
+        raise NonpositiveWeight(
+            f"weight must be positive on interior nodes: side {profile.side}, "
+            f"n={n}, node {i} has w={float(w[i])!r}")
     faces = 0.5 * (w[:-1] + w[1:])
-    diag = np.empty(n + 1)
-    diag[0] = faces[0] / dt ** 2
-    diag[1:-1] = (faces[:-1] + faces[1:]) / dt ** 2
-    diag[-1] = faces[-1] / dt ** 2
-    off = -faces / dt ** 2
     mass = w.copy()
     mass[0] *= 0.5
     mass[-1] *= 0.5
-    for a in (diag, off, mass, faces):
+    for a in (mass, faces):
         a.flags.writeable = False
-    return DiscreteOperator(n=n, dt=dt, diag=diag, off=off, mass=mass,
-                            faces=faces, endpoints=tuple(profile.endpoints),
-                            side=profile.side, fingerprint=profile.fingerprint,
-                            L=profile.L)
+    return DiscreteOperator(n=n, dt=profile.dt, mass=mass, faces=faces,
+                            endpoints=tuple(profile.endpoints),
+                            side=profile.side, fingerprint=profile.fingerprint)
 
 
 def apply_stiffness(op: DiscreteOperator, u) -> np.ndarray:
@@ -70,6 +65,13 @@ def apply_stiffness(op: DiscreteOperator, u) -> np.ndarray:
     out[-1] = flux[-1]
     out[1:-1] = flux[:-1] - flux[1:]
     return out / op.dt ** 2
+
+
+def pencil_residual(op: DiscreteOperator, lam, u) -> float:
+    """Relative pencil residual ||A u - lam B u|| / ||B u||."""
+    bu = op.mass * u
+    return float(np.linalg.norm(apply_stiffness(op, u) - lam * bu)
+                 / np.linalg.norm(bu))
 
 
 def mass_quadrature(op: DiscreteOperator) -> np.ndarray:

@@ -105,7 +105,7 @@ def test_unknown_group_raises():
     with pytest.raises(UnsupportedGroup):
         haar_rule("sp2", 8)
     with pytest.raises(UnsupportedGroup):
-        GroupElement("so5", 0.0).renormalized()
+        GroupElement("so5", 0.0)
 
 
 def test_haar_totals():

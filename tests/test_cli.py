@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -138,6 +139,38 @@ def test_bad_arguments_exit_2(capsys):
     for tol in ("-1", "nan", "inf"):
         assert main(["compare", "--diagram", "hopf", "--grid", "64",
                      "--tolerance", tol]) == 2
+    for scales in ("-1", "nan", "inf", "0.5,nan"):
+        assert main(["warp", "--diagram", "hopf", "--grid", "64",
+                     "--scales", scales]) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+    # warp solves only the first mode, so it takes no --modes
+    assert main(["warp", "--diagram", "hopf", "--modes", "3"]) == 2
+
+
+def test_readme_exit_code_table(tmp_path, capsys):
+    # one argv per code that the README's exit-code paragraph documents,
+    # each failure reached through real input, with no patched internals
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = text[text.index("Exit codes:"):].split("\n\n", 1)[0]
+    documented = sorted(int(c) for c in re.findall(r"`(\d)`", para))
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("{not json")
+    out = str(tmp_path / "report.json")
+    argvs = {
+        0: ["catalog", "--out", out],
+        2: ["spectrum", "--diagram", "gm", "--grid", "64"],
+        # the warp scale drives a Mprime weight to zero on the n/2 grid
+        3: ["warp", "--diagram", "hopf", "--grid", "64", "--scales", "200"],
+        4: ["compare", "--diagram", "hopf", "--grid", "64", "--modes", "1",
+            "--expect", "nonisospectral", "--out", out],
+        5: ["plotdata", str(malformed)],
+    }
+    assert documented == sorted(argvs)
+    for code, argv in argvs.items():
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        if code == 3:
+            assert "weight must be positive" in err and "side Mprime, n=32" in err
 
 
 def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
@@ -162,8 +195,6 @@ def test_modes_beyond_the_coarse_grid_exit_2(capsys):
     assert main(["spectrum", "--diagram", "hopf", "--grid", "64",
                  "--modes", "64"]) == 2
     assert "holds at most 29" in capsys.readouterr().err
-    assert main(["warp", "--diagram", "hopf", "--grid", "64", "--modes", "30",
-                 "--scales", "1"]) == 2
 
 
 def test_solver_failure_exits_3_with_numbers(capsys, monkeypatch):

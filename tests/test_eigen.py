@@ -2,6 +2,7 @@
 backward-error certificate on every side up to the finest grid."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,42 @@ def test_condensed_folds_preserve_structure():
     a_ones[:-1] += e
     a_ones[1:] += e
     assert np.max(np.abs(a_ones)) <= 1e-6 * np.max(np.abs(d))
+
+
+def dense_stiffness(op):
+    """Full-grid A = G^T diag(faces) G / dt^2, G the n x (n+1) difference
+    matrix, built densely from the face weights."""
+    g = np.diff(np.eye(op.n + 1), axis=0)
+    return g.T @ np.diag(op.faces) @ g / op.dt ** 2
+
+
+@pytest.mark.parametrize("case", ["trivial-s2", "hopf", "flat", "end-mass"])
+def test_condensed_is_the_path_laplacian_of_the_kept_faces(case):
+    # independent route: the Galerkin fold P^T A P, P^T B P with P the
+    # constant extension from the kept nodes to the full grid
+    n = 64
+    if case == "flat":
+        op = assemble(flat_profile(n))
+        keep = np.arange(n + 1)
+    elif case == "end-mass":
+        # catalog end weights are 0.0; nonzero ones make the mass fold show
+        w = 1.0 + np.random.default_rng(24).uniform(0.0, 2.0, size=n + 1)
+        op = assemble(replace(flat_profile(n), w=w,
+                              endpoints=("collapsing", "collapsing")))
+        keep = np.arange(1, n)
+    else:
+        op = assemble(orbit_profile(kaluza_klein(catalog(case)), "M", n))
+        assert op.endpoints == ("collapsing", "collapsing")
+        keep = np.arange(1, n)
+    ext = np.eye(n + 1)[:, keep]
+    ext[0, 0] = ext[-1, -1] = 1.0
+    a_ref = ext.T @ dense_stiffness(op) @ ext
+    b_ref = ext.T @ np.diag(op.mass) @ ext
+    d, e, b = condensed(op)
+    scale = np.max(np.abs(a_ref))
+    assert np.max(np.abs(np.diag(d) + np.diag(e, 1) + np.diag(e, -1) - a_ref)) \
+        <= 1e-13 * scale
+    assert np.max(np.abs(np.diag(b) - b_ref)) <= 1e-15 * np.max(b_ref)
 
 
 def test_rayleigh_quotient():

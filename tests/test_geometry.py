@@ -296,8 +296,9 @@ def test_warp_validation():
         warp(m, np.zeros((4, 4)), 1.0)
     with pytest.raises(GridMismatch):
         warp(m, np.array([0.0, np.nan, 0.0, 0.0]), 1.0)
-    with pytest.raises(ValueError):
-        warp(m, np.zeros(8), -0.5)
+    for c in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            warp(m, np.zeros(8), c)
 
 
 def test_no_profiles_off_the_interval_catalog():

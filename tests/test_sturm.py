@@ -42,7 +42,8 @@ def test_dense_assembly_matches_difference_form():
     rng = np.random.default_rng(21)
     w = 1.0 + rng.uniform(0.0, 2.0, size=65)
     op = assemble(profile_with_weight(w))
-    dense = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+    g = np.diff(np.eye(op.n + 1), axis=0)        # the difference matrix
+    dense = g.T @ np.diag(op.faces) @ g / op.dt ** 2
     for _ in range(20):
         u = rng.standard_normal(op.n + 1)
         assert np.max(np.abs(dense @ u - apply_stiffness(op, u))) <= 1e-9
@@ -104,6 +105,11 @@ def test_interior_weight_must_be_positive():
     w[10] = 0.0
     with pytest.raises(NonpositiveWeight):
         assemble(profile_with_weight(w))
+    # NaN is not positive either; the message names side, grid and node
+    w[10] = 1.0
+    w[7] = np.nan
+    with pytest.raises(NonpositiveWeight, match=r"side M, n=32, node 7 has w=nan"):
+        assemble(profile_with_weight(w))
     # zero end weights are fine: collapsing orbits carry no volume
     w = np.ones(33)
     w[0] = w[-1] = 0.0
@@ -121,5 +127,6 @@ def test_assemble_rejects_inconsistent_arrays():
 
 def test_operator_arrays_are_frozen():
     op = assemble(flat_profile(32))
-    with pytest.raises(ValueError):
-        op.diag[0] = 1.0
+    for a in (op.faces, op.mass):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
