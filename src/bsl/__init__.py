@@ -9,12 +9,8 @@ problems, and the experiments that compare, transport and warp them.
 __version__ = "0.1.0"
 
 from .algebra import (
-    GroupElement,
-    GroupMismatch,
-    HaarRule,
     Quaternion,
     UnsupportedGroup,
-    haar_rule,
     random_element,
 )
 from .diagrams import (

@@ -403,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--diagram", required=True, choices=diagrams.CATALOG_IDS)
     sp.add_argument("--samples", type=_samples_type, default=200)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json",), default="json")
     sp.add_argument("--out", type=_out_path)
     sp.set_defaults(func=cmd_verify)
 

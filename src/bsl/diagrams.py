@@ -28,14 +28,12 @@ import numpy as np
 
 from .algebra import (
     TWO_PI,
-    GroupElement,
     QUAT_I,
     QUAT_J,
     QUAT_ONE,
     Quaternion,
     _hopf_quat,
     circle_quat,
-    payload_distance,
     quat_dot,
     quat_mul,
     random_element,
@@ -72,12 +70,14 @@ class StarDiagram:
     All callables are pure.  Sections are right inverses of the matching
     projection and are used to lift quotient points; each one covers the
     whole base with a two-chart fallback where a single formula would be
-    singular.  On every entry the actions, projections, residual actions
-    and sections also map a batch of points (and of group elements) at
-    once, with the same floating-point operations as one point at a
-    time, and the distances measure a batch against one point; the
-    orbit-volume profiles and the isotropy probes are computed through
-    them.
+    singular.  The actions and residual actions take a group element as
+    its payload (an angle for s1, a unit Quaternion for s3).  On every
+    entry the actions, projections, residual actions and sections also
+    map a batch of points (and of group elements: an array of angles, a
+    Quaternion of arrays) at once, with the same floating-point
+    operations as one point at a time, and the distances measure a batch
+    against one point; the orbit-volume profiles and the isotropy probes
+    are computed through them.
     """
 
     entry: CatalogEntry
@@ -164,12 +164,12 @@ def _vec_dist(a, b):
 
 def _triv_bullet(g, p):
     x, phi = p
-    return (x, (phi - g.data) % TWO_PI)
+    return (x, (phi - g) % TWO_PI)
 
 
 def _triv_star(g, p):
     x, phi = p
-    return (_rot_z(g.data, x), (g.data + phi) % TWO_PI)
+    return (_rot_z(g, x), (g + phi) % TWO_PI)
 
 
 def _triv_proj_bullet(p):
@@ -183,7 +183,7 @@ def _triv_proj_star(p):
 
 def _triv_residual(g, y):
     # both residual actions rotate the sphere about the z axis
-    return _rot_z(g.data, y)
+    return _rot_z(g, y)
 
 
 def _triv_section(x):
@@ -192,7 +192,10 @@ def _triv_section(x):
 
 
 def _triv_point_dist(p, q):
-    return np.hypot(_vec_dist(p[0], q[0]), payload_distance("s1", p[1], q[1]))
+    # the angle measured as a point of the unit circle
+    a, b = p[1], q[1]
+    return np.hypot(_vec_dist(p[0], q[0]),
+                    np.hypot(np.cos(a) - np.cos(b), np.sin(a) - np.sin(b)))
 
 
 def _triv_random(rng):
@@ -210,11 +213,11 @@ def _triv_membership(p):
 
 
 def _hopf_bullet(g, p):
-    return quat_mul(p, circle_quat(-g.data))
+    return quat_mul(p, circle_quat(-g))
 
 
 def _hopf_star(g, p):
-    return quat_mul(circle_quat(g.data), p)
+    return quat_mul(circle_quat(g), p)
 
 
 def _hopf_proj_bullet(p):
@@ -228,7 +231,7 @@ def _hopf_proj_star(p):
 def _hopf_residual(g, y):
     # both residual actions are conjugation by the circle element, a
     # rotation by twice the angle about the first axis
-    q = circle_quat(g.data)
+    q = circle_quat(g)
     return _imag_vec(quat_mul(q, quat_mul(_pure(y), q.conj())))
 
 
@@ -249,7 +252,7 @@ def _hopf_section_star(y):
 
 
 def _hopf_random(rng):
-    return random_element("s3", rng).data
+    return random_element("s3", rng)
 
 
 def _hopf_point_dist(p, q):
@@ -264,14 +267,13 @@ def _hopf_membership(p):
 # Gromoll-Meyer entry: P = Sp(2), stored row-wise ((a, c), (b, d))
 
 
-def _gm_bullet(g, A):
-    qc = g.data.conj()
+def _gm_bullet(q, A):
+    qc = q.conj()
     (a, c), (b, d) = A
     return ((a, quat_mul(c, qc)), (b, quat_mul(d, qc)))
 
 
-def _gm_star(g, A):
-    q = g.data
+def _gm_star(q, A):
     qc = q.conj()
     (a, c), (b, d) = A
     return ((quat_mul(quat_mul(q, a), qc), quat_mul(q, c)),
@@ -289,11 +291,10 @@ def _gm_canon(A):
     # chosen divisor at least 1/sqrt(2)
     (_, c), (_, d) = A
     u = _where(c.norm() >= d.norm(), c, d)
-    return _gm_star(GroupElement("s3", u.conj() * (1.0 / u.norm())), A)
+    return _gm_star(u.conj() * (1.0 / u.norm()), A)
 
 
-def _gm_residual_star(g, col):
-    q = g.data
+def _gm_residual_star(q, col):
     qc = q.conj()
     a, b = col
     return (quat_mul(quat_mul(q, a), qc), quat_mul(quat_mul(q, b), qc))
@@ -318,7 +319,11 @@ def _gm_section_star(Y):
 
 
 def _sp2_dist(A, B):
-    return payload_distance("sp2", A, B)
+    # Euclidean distance of the four entries, a batch against one point
+    (a1, c1), (b1, d1) = A
+    (a2, c2), (b2, d2) = B
+    return np.sqrt((a1 - a2).norm() ** 2 + (c1 - c2).norm() ** 2
+                   + (b1 - b2).norm() ** 2 + (d1 - d2).norm() ** 2)
 
 
 def _gm_dist_m(p, q):
@@ -326,7 +331,7 @@ def _gm_dist_m(p, q):
 
 
 def _gm_random(rng):
-    return random_element("sp2", rng).data
+    return random_element("sp2", rng)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +463,10 @@ def check_commute(d: StarDiagram, samples: int, rng=None) -> float:
     return worst
 
 
-def group_net(group: str, grid: int) -> GroupElement:
+def group_net(group: str, grid: int):
     """Deterministic net over the group, identity first, held as one
-    GroupElement whose payload is an array of angles (s1) or a
-    Quaternion of arrays (s3).
+    batched payload: an array of angles (s1) or a Quaternion of arrays
+    (s3).
 
     The circle net is the uniform angle grid.  The S3 net is a lattice in
     Hopf coordinates q = (cos(eta) e^{i xi1}, sin(eta) e^{i xi2} j) that
@@ -473,21 +478,21 @@ def group_net(group: str, grid: int) -> GroupElement:
         raise ValueError("net grid must be >= 2")
     angles = TWO_PI * np.arange(grid) / grid
     if group == "s1":
-        return GroupElement("s1", angles)
+        return angles
     if group == "s3":
         etas = np.linspace(0.0, math.pi / 2.0, grid // 4 + 2)
         eta, xi1, xi2 = np.meshgrid(etas, angles, angles, indexing="ij")
         # each end ring keeps one value of the angle that is void there
         keep = (((eta < etas[-1]) | (xi1 == 0.0))
                 & ((eta > 0.0) | (xi2 == 0.0)))
-        return GroupElement("s3", _hopf_quat(eta[keep], xi1[keep], xi2[keep]))
+        return _hopf_quat(eta[keep], xi1[keep], xi2[keep])
     raise ValueError(f"no net for group {group!r}")
 
 
 def _probe(action, dist, p, net):
     # one batched action and distance; the mask has one entry per net
     # element even when the distance does not depend on the element
-    size = np.size(net.data.w if isinstance(net.data, Quaternion) else net.data)
+    size = np.size(net.w if isinstance(net, Quaternion) else net)
     return np.broadcast_to(dist(action(net, p), p) <= FIXED_POINT_TOL, (size,))
 
 

@@ -37,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import QUAT_I, Quaternion, haar_rule, quat_dot, quat_mul
+from .algebra import QUAT_I, Quaternion, circle_rule, quat_dot, quat_mul
 from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES, _imag_vec, catalog
 
 SIDES = ("P", "M", "Mprime")
@@ -322,21 +322,25 @@ def orbit_profile(m: MetricSpec, side: str, n: int) -> OrbitProfile:
         raise ValueError("profile grid needs n >= 16")
     L = orbit_space_length(m)
     t = np.linspace(0.0, L, n + 1)
-    rule = haar_rule("s1", _HAAR_ORDER)
-    g, wts = rule.nodes, rule.weights
+    g, wts = circle_rule(_HAAR_ORDER)
 
-    if side == "M":
-        x = d.proj_bullet(geom.curve_P(m, t))
-        w = geom.jac_M(m, d.residual_star(g, x[:, None, :])) @ wts
-    elif side == "Mprime":
-        y = d.proj_star(geom.curve_P(m, t))
-        lifts = d.section_star(d.residual_bullet(g, y[:, None, :]))
-        a_ww, a_wz, a_zz = geom.gram(m, lifts)
-        jac = np.sqrt(np.maximum(a_ww - a_wz * a_wz / a_zz, 0.0))
-        w = jac @ wts
-    else:
-        a_ww, a_wz, a_zz = geom.gram(m, geom.curve_P(m, t))
-        w = (2.0 * math.pi) ** 2 * np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
+    # a warp scale large enough to overflow the fiber term leaves NaN or
+    # zero weights (inf - inf, inf / inf) that assemble reports as
+    # NonpositiveWeight, so numpy need not warn about them here
+    with np.errstate(over="ignore", invalid="ignore"):
+        if side == "M":
+            x = d.proj_bullet(geom.curve_P(m, t))
+            w = geom.jac_M(m, d.residual_star(g, x[:, None, :])) @ wts
+        elif side == "Mprime":
+            y = d.proj_star(geom.curve_P(m, t))
+            lifts = d.section_star(d.residual_bullet(g, y[:, None, :]))
+            a_ww, a_wz, a_zz = geom.gram(m, lifts)
+            jac = np.sqrt(np.maximum(a_ww - a_wz * a_wz / a_zz, 0.0))
+            w = jac @ wts
+        else:
+            a_ww, a_wz, a_zz = geom.gram(m, geom.curve_P(m, t))
+            w = (2.0 * math.pi) ** 2 * np.sqrt(
+                np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
 
     # the endpoint orbits collapse, so their volume is exactly zero; the
     # formulas above only reach 0 up to cancellation noise under a warp

@@ -145,6 +145,8 @@ def test_bad_arguments_exit_2(capsys):
         assert "finite and nonnegative" in capsys.readouterr().err
     # warp solves only the first mode, so it takes no --modes
     assert main(["warp", "--diagram", "hopf", "--modes", "3"]) == 2
+    # verify writes only JSON, so it takes no --format
+    assert main(["verify", "--diagram", "gm", "--format", "json"]) == 2
 
 
 def test_readme_exit_code_table(tmp_path, capsys):
@@ -171,6 +173,18 @@ def test_readme_exit_code_table(tmp_path, capsys):
         err = capsys.readouterr().err
         if code == 3:
             assert "weight must be positive" in err and "side Mprime, n=32" in err
+
+
+@pytest.mark.parametrize("eid", ["hopf", "trivial-s2"])
+def test_overflowing_warp_scales_exit_3_without_warnings(eid, capsys):
+    # the fiber scale overflows to inf and the weight to NaN; with
+    # warnings raised as errors, a numpy overflow or invalid-value warning
+    # would escape as exit 1
+    for scale in ("3000", "1e4", "1e5", "1e300"):
+        assert main(["warp", "--diagram", eid, "--grid", "64",
+                     "--scales", scale]) == 3, scale
+        err = capsys.readouterr().err
+        assert "weight must be positive" in err and "side Mprime, n=32, node" in err
 
 
 def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
@@ -317,7 +331,7 @@ def test_an_action_that_ignores_g_is_not_free(tmp_path, monkeypatch, eid):
     # every net element, not one container
     still = dataclasses.replace(diagrams.catalog(eid), bullet_action=lambda g, p: p)
     net = diagrams.group_net(still.group, 8)
-    size = net.data.w.size if eid == "gm" else net.data.size
+    size = net.w.size if eid == "gm" else net.size
     p = still.random_point(np.random.default_rng(0))
     mask = diagrams.isotropy_probe(still, "bullet", p, grid=8)
     assert mask.shape == (size,) and mask.all()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bsl.algebra import QUAT_ONE, GroupElement, Quaternion, identity, random_element
+from bsl.algebra import QUAT_ONE, Quaternion, random_element
 from bsl.diagrams import (
     CATALOG_IDS,
     IllDefined,
@@ -59,6 +59,11 @@ def test_actions_preserve_membership():
         for _ in range(200):
             p = d.random_point(rng)
             g = random_element(d.group, rng)
+            # random_element draws the hopf points (s3), the gm points
+            # (sp2) and the gm elements (s3): each lies on its group
+            assert d.membership(p) <= 1e-12
+            if d.group == "s3":
+                assert abs(g.norm() - 1.0) <= 1e-12
             assert d.membership(d.bullet_action(g, p)) <= 1e-12
             assert d.membership(d.star_action(g, p)) <= 1e-12
 
@@ -157,7 +162,7 @@ def test_batched_maps_equal_their_one_point_values_bitwise():
             for pts in (xs, ys):
                 firsts = np.array([v[0] for v in pts])
                 assert np.any(firsts <= -0.5) and np.any(firsts > -0.5)
-        g = GroupElement(d.group, _batch([h.data for h in gs]))
+        g = _batch(gs)
         cases = {
             "bullet_action": (lambda i: (gs[i], ps[i]), (g, _batch(ps))),
             "star_action": (lambda i: (gs[i], ps[i]), (g, _batch(ps))),
@@ -219,28 +224,24 @@ def test_gm_canonical_representative():
 
 
 def _net_element(net, i):
-    """Element i of a batched group net, as a one-point GroupElement."""
-    data = net.data
-    if isinstance(data, Quaternion):
-        data = Quaternion(*(float(c[i]) for c in (data.w, data.x, data.y, data.z)))
-    else:
-        data = float(data[i])
-    return GroupElement(net.group, data)
+    """Element i of a batched group net, as a one-point payload."""
+    if isinstance(net, Quaternion):
+        return Quaternion(*(float(c[i]) for c in (net.w, net.x, net.y, net.z)))
+    return float(net[i])
 
 
 def test_both_actions_are_free():
     rng = np.random.default_rng(7)
     for eid in CATALOG_IDS:
         d = catalog(eid)
-        e = identity(d.group)
+        e = QUAT_ONE if d.group == "s3" else 0.0
         net = group_net(d.group, 8)
         for _ in range(50):
             p = d.random_point(rng)
             for which in ("bullet", "star"):
                 fixers = np.flatnonzero(isotropy_probe(d, which, p, grid=8))
                 assert len(fixers) == 1
-                first = _net_element(net, fixers[0])
-                assert first.group == e.group and first.data == e.data
+                assert _net_element(net, fixers[0]) == e
 
 
 def test_isotropy_compare_generic_points():
@@ -264,8 +265,8 @@ def test_isotropy_compare_special_points():
 
 def test_group_net_shape():
     net = group_net("s1", 12)
-    assert net.data.shape == (12,)
-    assert _net_element(net, 0).data == 0.0
+    assert net.shape == (12,)
+    assert _net_element(net, 0) == 0.0
     net3 = group_net("s3", 8)
     # the ring-by-ring loop is the reference: at eta = 0 only xi1 runs,
     # at eta = pi/2 only xi2, in between both
@@ -277,11 +278,11 @@ def test_group_net_shape():
             for x2 in (angles if i > 0 else angles[:1]):
                 ref.append((math.cos(eta) * math.cos(x1), math.cos(eta) * math.sin(x1),
                             math.sin(eta) * math.cos(x2), math.sin(eta) * math.sin(x2)))
-    got = np.stack([net3.data.w, net3.data.x, net3.data.y, net3.data.z], axis=-1)
+    got = np.stack([net3.w, net3.x, net3.y, net3.z], axis=-1)
     assert got.shape == (8 + 2 * 64 + 8, 4)
     assert np.max(np.abs(got - ref)) <= 4e-16
-    assert _net_element(net3, 0).data == QUAT_ONE
-    assert np.all(np.abs(net3.data.norm() - 1.0) < 1e-12)
+    assert _net_element(net3, 0) == QUAT_ONE
+    assert np.all(np.abs(net3.norm() - 1.0) < 1e-12)
     with pytest.raises(ValueError):
         group_net("s1", 1)
 

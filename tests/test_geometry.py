@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bsl.geometry as geometry
-from bsl.algebra import QUAT_I, GroupElement, Quaternion, haar_rule, quat_mul
+from bsl.algebra import QUAT_I, Quaternion, circle_rule, quat_mul
 from bsl.diagrams import catalog
 from bsl.geometry import (
     GridMismatch,
@@ -99,8 +99,7 @@ def test_p_weights_match_the_torus_haar_sum():
     # the Gram matrix is constant along the orbit
     n = 2548
     u = np.sin(np.linspace(0.0, 3.0, 33))
-    rule = haar_rule("s1", 8)
-    angles = rule.nodes.data
+    angles, weights = circle_rule(8)
     for eid in ("trivial-s2", "hopf"):
         d = catalog(eid)
         m = kaluza_klein(d)
@@ -108,14 +107,13 @@ def test_p_weights_match_the_torus_haar_sum():
             geom = geometry._geom(metric)
             t = np.linspace(0.0, orbit_space_length(metric), n + 1)
             p = geom.curve_P(metric, t[:, None, None])
-            pushed = d.star_action(GroupElement("s1", angles[:, None]),
-                                   d.bullet_action(GroupElement("s1", angles), p))
+            pushed = d.star_action(angles[:, None], d.bullet_action(angles, p))
             gram = geom.gram(metric, pushed)
             for a in gram:
                 assert np.max(np.abs(a - a[:, :1, :1])) <= 1e-12 * np.max(np.abs(a)), eid
             a_ww, a_wz, a_zz = gram
             jac = np.sqrt(np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
-            ref = np.einsum("ijk,j,k->i", jac, rule.weights, rule.weights)
+            ref = np.einsum("ijk,j,k->i", jac, weights, weights)
             ref[0] = ref[-1] = 0.0
             w = orbit_profile(metric, "P", n).w
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(ref), eid
@@ -179,14 +177,12 @@ def test_lean_hopf_gram_matches_metric_inner():
     # definition it must agree with, at pushed P points
     d = catalog("hopf")
     m = kaluza_klein(d)
-    rule = haar_rule("s1", 8)
-    angles = rule.nodes.data
+    angles, _ = circle_rule(8)
     for metric in (m, warp(m, np.sin(np.linspace(0.0, 3.0, 33)), 0.7)):
         geom = geometry._geom(metric)
         t = np.linspace(0.0, orbit_space_length(metric), 257)
-        p = d.star_action(GroupElement("s1", angles[:, None]),
-                          d.bullet_action(GroupElement("s1", angles),
-                                          geom.curve_P(metric, t[:, None, None])))
+        p = d.star_action(angles[:, None],
+                          d.bullet_action(angles, geom.curve_P(metric, t[:, None, None])))
         z = quat_mul(QUAT_I, p)
         w = -quat_mul(p, QUAT_I)
         a_ww, a_wz, a_zz = geom.gram(metric, p)
