@@ -69,7 +69,6 @@ from .lab import (
     compare_basic_spectra,
     extrapolated_spectrum,
     fubini_defect,
-    inequality_audit,
     joint_eigenfunction_check,
     warp_break,
 )

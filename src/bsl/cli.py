@@ -2,8 +2,9 @@
 
 Subcommands: catalog, spectrum, compare, warp, verify, plotdata.  Every
 JSON output is a versioned envelope {schema, tool, version, command,
-config, result} written atomically, with the RNG seed echoed in config
-so identical configurations produce byte-identical files.  Exit codes:
+config, result} written atomically, so identical configurations produce
+byte-identical files; only verify draws random numbers, and its config
+records the seed.  Exit codes:
 0 success, 2 usage or unsupported diagram, 3 solver failure or a profile
 weight that is not positive (a large warp scale can make one), 4 failed
 --expect assertion, 5 malformed plotdata input.
@@ -87,7 +88,7 @@ def _emit(args, command: str, config: dict, result, csv_text=None) -> int:
     if getattr(args, "format", "json") == "csv" and csv_text is not None:
         payload = csv_text
     else:
-        doc = {"schema": 1, "tool": "bsl", "version": __version__,
+        doc = {"schema": 2, "tool": "bsl", "version": __version__,
                "command": command, "config": config, "result": result}
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     _write(getattr(args, "out", None), payload)
@@ -102,8 +103,7 @@ def _write(out, text: str):
 
 
 def _base_config(args, **extra) -> dict:
-    cfg = {"seed": getattr(args, "seed", 0),
-           "format": getattr(args, "format", "json"),
+    cfg = {"format": getattr(args, "format", "json"),
            "out": getattr(args, "out", None)}
     cfg.update(extra)
     return cfg
@@ -179,28 +179,19 @@ def cmd_compare(args) -> int:
     return rc
 
 
-def _warp_row(r: lab.WarpReport) -> dict:
-    row = asdict(r)
-    if row["rhs"] is None:
-        row["rhs"] = "undefined"
-    row["audit"] = lab.inequality_audit(r)
-    return row
-
-
 def cmd_warp(args) -> int:
     m = geometry.kaluza_klein(args.diagram)
     reports = lab.warp_break(args.diagram, m, scales=args.scales, n=args.grid)
     any_broke = any(r.broke_isospectrality for r in reports)
-    result = {"reports": [_warp_row(r) for r in reports],
+    result = {"reports": [asdict(r) for r in reports],
               "any_broke": any_broke}
     cfg = _base_config(args, diagram=args.diagram, grid=args.grid,
                        expect=args.expect,
                        scales=list(args.scales) if args.scales else None)
-    lines = ["scale,lambda1_unwarped,lambda1_warped,lhs,rhs,broke"]
+    lines = ["scale,lambda1_unwarped,lambda1_warped,broke"]
     for r in reports:
-        rhs = "undefined" if r.rhs is None else repr(r.rhs)
         lines.append(f"{r.scale!r},{r.lambda1_unwarped!r},{r.lambda1_warped!r},"
-                     f"{r.lhs!r},{rhs},{r.broke_isospectrality}")
+                     f"{r.broke_isospectrality}")
     rc = _emit(args, "warp", cfg, result, csv_text="\n".join(lines) + "\n")
     if args.expect == "nonisospectral" and not any_broke:
         print("bsl: expected a warp to break isospectrality; none did",
@@ -248,7 +239,8 @@ def cmd_verify(args) -> int:
         "orbit_normalization": ("orbit volumes count the parameterisation "
                                 "with multiplicity; ratios are unaffected"),
     }
-    cfg = _base_config(args, diagram=args.diagram, samples=args.samples)
+    cfg = _base_config(args, diagram=args.diagram, samples=args.samples,
+                       seed=args.seed)
     return _emit(args, "verify", cfg, result)
 
 
@@ -370,14 +362,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=_grid_type, default=512)
         if modes:
             sp.add_argument("--modes", type=_modes_type, default=5)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", type=_out_path)
 
     sp = sub.add_parser("catalog", help="list the diagram catalog")
     sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.add_argument("--out", type=_out_path)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("spectrum", help="basic spectrum of one side")

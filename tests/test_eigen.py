@@ -273,6 +273,9 @@ def test_catalog_spectra_are_simple_and_b_orthonormal(n):
                 assert np.min(np.diff(lams) / lams[1:]) >= 1e-3, case
                 gram = vecs.T @ (op.mass[:, None] * vecs)
                 assert np.max(np.abs(gram - np.eye(64))) <= 1e-13, case
+                # every mode is B-orthogonal to the constants
+                ones_b = np.sqrt(np.sum(op.mass))
+                assert np.max(np.abs(op.mass @ vecs)) / ones_b <= 1e-9, case
 
 
 def test_eigenpairs_validates_requests():

@@ -1,6 +1,5 @@
 """Spectrum comparison, joint eigenfunction checks, and warp schedules."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from bsl.lab import (
     compare_csv_text,
     extrapolated_spectrum,
     fubini_defect,
-    inequality_audit,
     joint_eigenfunction_check,
     warp_break,
 )
@@ -108,7 +106,6 @@ def test_warp_break_control_row():
     control = reports[0]
     assert control.scale == 0.0
     assert control.lambda1_warped == control.lambda1_unwarped
-    assert control.lhs == 1.0
     assert not control.broke_isospectrality
 
 
@@ -122,9 +119,7 @@ def test_warp_break_finds_a_breaking_scale():
     shifts = [abs(r.lambda1_warped - r.lambda1_unwarped) for r in reports]
     assert shifts == sorted(shifts)
     for r in reports:
-        assert r.int_u_sq_unwarped > 0.0
         assert r.star_volume_range[0] <= r.star_volume_range[1]
-        assert abs(r.mean_of_phi) <= 1e-6
 
 
 def test_warp_break_product_entry_also_breaks():
@@ -133,18 +128,16 @@ def test_warp_break_product_entry_also_breaks():
     assert reports[1].broke_isospectrality
 
 
-def test_warp_rhs_is_undefined_for_eigenfunctions():
-    # the audit denominator is the warped-measure mean of the first
-    # eigenfunction, which vanishes; the report must flag it, not divide
-    d = catalog("hopf")
-    reports = warp_break(d, kaluza_klein(d), scales=(1.0,), n=256)
-    r = reports[1]
-    assert r.rhs is None
-    assert abs(r.int_phi_warped) < 1e-10 * math.sqrt(r.int_phi_sq_warped)
-    audit = inequality_audit(r)
-    assert audit["rhs"] == "undefined" and audit["consistent"] == "undefined"
-    defined = inequality_audit(dataclasses.replace(r, rhs=2.0))
-    assert defined["consistent"] == bool(r.lhs <= 2.0)
+@pytest.mark.parametrize("eid", ["hopf", "trivial-s2"])
+def test_warp_moves_lambda1_quadratically(eid):
+    # the warp direction is the first eigenfunction itself, so the
+    # first-order response of lambda1 vanishes and doubling the scale
+    # quadruples the shift
+    d = catalog(eid)
+    reports = warp_break(d, kaluza_klein(d), scales=(0.01, 0.02, 0.04), n=512)
+    shifts = [r.lambda1_warped - r.lambda1_unwarped for r in reports[1:]]
+    for small, big in zip(shifts, shifts[1:]):
+        assert 3.9 <= big / small <= 4.1, (eid, shifts)
 
 
 def test_warp_break_rejects_warped_base():
