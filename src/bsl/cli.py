@@ -6,8 +6,9 @@ config, result} written atomically, so identical configurations produce
 byte-identical files; only verify draws random numbers, and its config
 records the seed.  Exit codes:
 0 success, 2 usage or unsupported diagram, 3 solver failure or a profile
-weight that is not positive (a large warp scale can make one), 4 failed
---expect assertion, 5 malformed plotdata input.
+weight that is not positive and finite (a warp scale at which the fiber
+length overflows or underflows makes one), 4 failed --expect assertion,
+5 malformed plotdata input.
 """
 
 import argparse
@@ -103,8 +104,10 @@ def _write(out, text: str):
 
 
 def _base_config(args, **extra) -> dict:
-    cfg = {"format": getattr(args, "format", "json"),
-           "out": getattr(args, "out", None)}
+    # format is recorded only for commands that take --format
+    cfg = {"out": args.out}
+    if hasattr(args, "format"):
+        cfg["format"] = args.format
     cfg.update(extra)
     return cfg
 

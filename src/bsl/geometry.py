@@ -21,9 +21,14 @@ nodes through the diagram's own maps (the catalog's residual actions,
 projections and sections, evaluated on whole batches) and summing metric
 Jacobians at the pushed points.  On P the two circle actions commute and
 act by isometries, so the Gram matrix of their generators is constant on
-each torus orbit and one point per orbit gives the Haar integral.  This
-module holds only the metric; the closed forms these reproduce live only
-in the test suite.
+each torus orbit and one point per orbit gives the Haar integral.  Each
+entry hands out the metric at a point as its three Kaluza-Klein factors,
+the fiber term E B0, the connection component nu of the star generator
+and the base term r^2 |dpi Z|^2.  The Jacobians are products and
+quotients of these with no cancelling difference, so they hold to
+rounding wherever the fiber term is finite.  This module holds only the
+metric in that factored form; the metric evaluated on tangent vectors,
+and the closed forms the profiles reproduce, live only in the test suite.
 """
 
 import hashlib
@@ -38,7 +43,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import QUAT_I, Quaternion, circle_rule, quat_dot, quat_mul
-from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES, _imag_vec, catalog
+from .diagrams import CATALOG_IDS, StarDiagram, _ENTRIES, catalog
 
 SIDES = ("P", "M", "Mprime")
 
@@ -113,8 +118,12 @@ class OrbitProfile:
 
 
 # ---------------------------------------------------------------------------
-# per-entry metric hooks: points, tangent vectors and curves of P are in
-# the diagram's own representation, batched
+# per-entry metric hooks: points and curves of P are in the diagram's own
+# representation, batched.  gram(m, p) returns the metric's Kaluza-Klein
+# factors (b, nu, mm) at p: the warped fiber term b = E B0, the connection
+# component nu = nu(Z) of the star generator Z (the bullet generator W has
+# nu(W) = 1) and the base term mm = r^2 |dpi Z|^2.  The Gram matrix of
+# (W, Z) is [[b, b nu], [b nu, mm + b nu^2]].
 
 
 class _HopfGeometry:
@@ -141,13 +150,6 @@ class _HopfGeometry:
     def jac_M(self, m, pushed):
         return 2.0 * m.radius * np.hypot(pushed[..., 1], pushed[..., 2])
 
-    def dpi(self, m, p, v):
-        return _imag_vec(quat_mul(quat_mul(v, QUAT_I), p.conj())
-                         + quat_mul(quat_mul(p, QUAT_I), v.conj()))
-
-    def nu(self, m, p, v):
-        return quat_dot(v, -quat_mul(p, QUAT_I))
-
     def gram(self, m, p):
         # dpi and nu at Z = i p written out, with p i formed once
         pi = quat_mul(p, QUAT_I)
@@ -158,20 +160,11 @@ class _HopfGeometry:
         # unwarped, E is ones and t is not needed
         b = (np.full(np.shape(nuz), self.b0(m)) if m.warp_u is None
              else _warp_factor(m, self.t_of_P(m, p)) * self.b0(m))
-        return b, b * nuz, mm + b * nuz * nuz
-
-    def metric_inner(self, m, p, v, u):
-        dv, du = self.dpi(m, p, v), self.dpi(m, p, u)
-        e = _warp_factor(m, self.t_of_P(m, p))
-        return (m.radius ** 2 * np.sum(dv * du, axis=-1)
-                + e * self.b0(m) * self.nu(m, p, v) * self.nu(m, p, u))
+        return b, nuz, mm
 
 
 class _TrivialGeometry:
     entry_id = "trivial-s2"
-
-    def b0(self, m):
-        return m.fiber_scale
 
     def curve_P(self, m, t):
         tt = np.asarray(t) / m.radius
@@ -198,28 +191,7 @@ class _TrivialGeometry:
         nuz = self._nu_z(m, x)
         b = (np.full(np.shape(s2), m.fiber_scale) if m.warp_u is None
              else _warp_factor(m, self.t_of_base(m, x)) * m.fiber_scale)
-        return b, b * nuz, m.radius ** 2 * s2 + b * nuz * nuz
-
-    def _a2(self, m, s2):
-        r2, q = m.radius ** 2, m.fiber_scale
-        lim = r2 / (2.0 * q)
-        s2 = np.asarray(s2, dtype=float)
-        safe = np.where(s2 > 1e-12, s2, 1.0)
-        val = (1.0 - np.sqrt(np.maximum(1.0 - r2 * s2 / q, 0.0))) / safe
-        return np.where(s2 > 1e-12, val, lim)
-
-    def nu(self, m, p, v):
-        x, _ = p
-        vx, vphi = v
-        s2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        ez_cross = np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])], axis=-1)
-        return -vphi + self._a2(m, s2) * np.sum(vx * ez_cross, axis=-1)
-
-    def metric_inner(self, m, p, v, u):
-        x, _ = p
-        e = _warp_factor(m, self.t_of_base(m, x))
-        return (m.radius ** 2 * np.sum(v[0] * u[0], axis=-1)
-                + e * m.fiber_scale * self.nu(m, p, v) * self.nu(m, p, u))
+        return b, nuz, m.radius ** 2 * s2
 
 
 _GEOMS = {"hopf": _HopfGeometry(), "trivial-s2": _TrivialGeometry()}
@@ -324,9 +296,12 @@ def orbit_profile(m: MetricSpec, side: str, n: int) -> OrbitProfile:
     t = np.linspace(0.0, L, n + 1)
     g, wts = circle_rule(_HAAR_ORDER)
 
-    # a warp scale large enough to overflow the fiber term leaves NaN or
-    # zero weights (inf - inf, inf / inf) that assemble reports as
-    # NonpositiveWeight, so numpy need not warn about them here
+    # the generators' Gram determinant is b mm, and the star quotient's
+    # Jacobian is the determinant over the star term, b mm / (mm + b nu^2):
+    # both without a cancelling difference.  A warp scale that overflows
+    # the fiber term still makes b inf and the weights inf or NaN
+    # (inf / inf); assemble reports those as NonpositiveWeight, so numpy
+    # need not warn about them here
     with np.errstate(over="ignore", invalid="ignore"):
         if side == "M":
             x = d.proj_bullet(geom.curve_P(m, t))
@@ -334,16 +309,14 @@ def orbit_profile(m: MetricSpec, side: str, n: int) -> OrbitProfile:
         elif side == "Mprime":
             y = d.proj_star(geom.curve_P(m, t))
             lifts = d.section_star(d.residual_bullet(g, y[:, None, :]))
-            a_ww, a_wz, a_zz = geom.gram(m, lifts)
-            jac = np.sqrt(np.maximum(a_ww - a_wz * a_wz / a_zz, 0.0))
-            w = jac @ wts
+            b, nu, mm = geom.gram(m, lifts)
+            w = np.sqrt(b * mm / (mm + b * nu * nu)) @ wts
         else:
-            a_ww, a_wz, a_zz = geom.gram(m, geom.curve_P(m, t))
-            w = (2.0 * math.pi) ** 2 * np.sqrt(
-                np.maximum(a_ww * a_zz - a_wz * a_wz, 0.0))
+            b, nu, mm = geom.gram(m, geom.curve_P(m, t))
+            w = (2.0 * math.pi) ** 2 * np.sqrt(b * mm)
 
-    # the endpoint orbits collapse, so their volume is exactly zero; the
-    # formulas above only reach 0 up to cancellation noise under a warp
+    # the endpoint orbits collapse, so their volume is exactly zero; pinned
+    # here because the base term mm there is zero only up to rounding
     w[0] = 0.0
     w[-1] = 0.0
     t.flags.writeable = False
@@ -365,8 +338,8 @@ def star_orbit_volumes(m: MetricSpec, n: int):
     """Volumes of the star orbits along the section curve."""
     geom = _geom(m)
     t = np.linspace(0.0, orbit_space_length(m), int(n) + 1)
-    _, _, a_zz = geom.gram(m, geom.curve_P(m, t))
-    return t, 2.0 * math.pi * np.sqrt(a_zz)
+    b, nu, mm = geom.gram(m, geom.curve_P(m, t))
+    return t, 2.0 * math.pi * np.sqrt(mm + b * nu * nu)
 
 
 def quotient_curve(m: MetricSpec, side: str, t):
@@ -384,16 +357,6 @@ def quotient_curve(m: MetricSpec, side: str, t):
 def base_parameter(m: MetricSpec, x):
     """Orbit-space parameter of a quotient point (either side)."""
     return _geom(m).t_of_base(m, np.asarray(x, dtype=float))
-
-
-def metric_inner(m: MetricSpec, p, v, u):
-    """Pointwise metric evaluation, mostly a test hook.
-
-    p is a point of P and v, u tangent vectors there, all in the
-    diagram's representation: quaternions for hopf, (x, phi) pairs for
-    trivial-s2.
-    """
-    return _geom(m).metric_inner(m, p, v, u)
 
 
 def mean_curvature(p: OrbitProfile) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 
 class NonpositiveWeight(ValueError):
-    """Profile weight is not strictly positive on interior nodes."""
+    """Profile weight is not a positive finite number on interior nodes."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,12 +39,13 @@ def assemble(profile) -> DiscreteOperator:
     n = profile.n
     if w.shape != (n + 1,):
         raise ValueError("profile arrays are inconsistent with its grid size")
-    bad = ~(w[1:-1] > 0.0)      # NaN counts as bad
+    inner = w[1:-1]
+    bad = ~((inner > 0.0) & (inner < np.inf))      # NaN counts as bad
     if np.any(bad):
         i = int(np.argmax(bad)) + 1
         raise NonpositiveWeight(
-            f"weight must be positive on interior nodes: side {profile.side}, "
-            f"n={n}, node {i} has w={float(w[i])!r}")
+            f"weight must be positive and finite on interior nodes: "
+            f"side {profile.side}, n={n}, node {i} has w={float(w[i])!r}")
     faces = 0.5 * (w[:-1] + w[1:])
     mass = w.copy()
     mass[0] *= 0.5

@@ -165,8 +165,9 @@ def test_readme_exit_code_table(tmp_path, capsys):
     argvs = {
         0: ["catalog", "--out", out],
         2: ["spectrum", "--diagram", "gm", "--grid", "64"],
-        # the warp scale drives a Mprime weight to zero on the n/2 grid
-        3: ["warp", "--diagram", "hopf", "--grid", "64", "--scales", "200"],
+        # the warp scale overflows the fiber length, and a Mprime weight
+        # to NaN, on the n/2 grid
+        3: ["warp", "--diagram", "hopf", "--grid", "64", "--scales", "1e5"],
         4: ["compare", "--diagram", "hopf", "--grid", "64", "--modes", "1",
             "--expect", "nonisospectral", "--out", out],
         5: ["plotdata", str(malformed)],
@@ -181,14 +182,34 @@ def test_readme_exit_code_table(tmp_path, capsys):
 
 @pytest.mark.parametrize("eid", ["hopf", "trivial-s2"])
 def test_overflowing_warp_scales_exit_3_without_warnings(eid, capsys):
-    # the fiber scale overflows to inf and the weight to NaN; with
-    # warnings raised as errors, a numpy overflow or invalid-value warning
-    # would escape as exit 1
-    for scale in ("3000", "1e4", "1e5", "1e300"):
+    # with warnings raised as errors, a numpy overflow or invalid-value
+    # warning would escape as exit 1.  At 3000 the fiber term stays finite
+    # but spans so many decades that the weights no longer certify a mode
+    assert main(["warp", "--diagram", eid, "--grid", "64",
+                 "--scales", "3000"]) == 3
+    err = capsys.readouterr().err
+    assert ("relative pencil residual" in err
+            and "exceeds 1e-09 at mode 1 (n=32, side Mprime)" in err)
+    # beyond it the fiber term overflows to inf where the warp table is
+    # positive (the weight is then inf / inf = NaN) and underflows to 0
+    # where it is negative (the weight is then 0); node 1 is on the
+    # positive side for hopf and on the negative one for trivial-s2
+    value = {"hopf": "nan", "trivial-s2": "0.0"}[eid]
+    for scale in ("1e4", "1e5", "1e300"):
         assert main(["warp", "--diagram", eid, "--grid", "64",
                      "--scales", scale]) == 3, scale
         err = capsys.readouterr().err
-        assert "weight must be positive" in err and "side Mprime, n=32, node" in err
+        assert "weight must be positive" in err, scale
+        assert f"side Mprime, n=32, node 1 has w={value}" in err, scale
+
+
+@pytest.mark.parametrize("eid", ["hopf", "trivial-s2"])
+def test_strong_finite_warps_solve(eid, capsys):
+    # the star-quotient weight is formed without a cancelling difference,
+    # so a warp whose fiber term stays finite leaves it positive
+    assert main(["warp", "--diagram", eid, "--grid", "64",
+                 "--scales", "200,1000"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
@@ -314,6 +335,15 @@ def test_warp_csv(tmp_path):
     lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "scale,lambda1_unwarped,lambda1_warped,broke"
     assert len(lines) == 3
+
+
+def test_verify_config_records_only_its_own_options(tmp_path):
+    # verify takes no --format, so its config has no format key
+    rc, doc, out = run_json(tmp_path, "verify.json",
+                            ["verify", "--diagram", "gm", "--samples", "10",
+                             "--seed", "7"])
+    assert rc == 0
+    assert doc["config"] == {"diagram": "gm", "out": out, "samples": 10, "seed": 7}
 
 
 def test_verify_payload(tmp_path):

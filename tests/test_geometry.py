@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import bsl.geometry as geometry
-from bsl.algebra import QUAT_I, Quaternion, circle_rule, quat_mul
-from bsl.diagrams import catalog
+from bsl.algebra import QUAT_I, Quaternion, circle_rule, quat_dot, quat_mul
+from bsl.diagrams import _imag_vec, catalog
 from bsl.geometry import (
     GridMismatch,
     NotCohomogeneityOne,
@@ -39,6 +39,59 @@ def closed_form_weight(eid, side, t):
         return 2.0 * math.pi * base if side == "P" else base
     base = TWO_PI * np.sin(t)
     return 4.0 * math.pi * base if side == "P" else base
+
+
+# ---------------------------------------------------------------------------
+# the metric from its definition, g(v, u) = r^2 <dpi v, dpi u> + E B0 nu(v)
+# nu(u), evaluated on tangent vectors: the independent reference that the
+# factors geom.gram returns must agree with
+
+
+def hopf_dpi(p, v):
+    return _imag_vec(quat_mul(quat_mul(v, QUAT_I), p.conj())
+                     + quat_mul(quat_mul(p, QUAT_I), v.conj()))
+
+
+def hopf_nu(p, v):
+    return quat_dot(v, -quat_mul(p, QUAT_I))
+
+
+def hopf_metric_inner(m, p, v, u):
+    geom = geometry._geom(m)
+    dv, du = hopf_dpi(p, v), hopf_dpi(p, u)
+    e = geometry._warp_factor(m, geom.t_of_P(m, p))
+    return (m.radius ** 2 * np.sum(dv * du, axis=-1)
+            + e * geom.b0(m) * hopf_nu(p, v) * hopf_nu(p, u))
+
+
+def trivial_a2(m, s2):
+    r2, q = m.radius ** 2, m.fiber_scale
+    lim = r2 / (2.0 * q)
+    s2 = np.asarray(s2, dtype=float)
+    safe = np.where(s2 > 1e-12, s2, 1.0)
+    val = (1.0 - np.sqrt(np.maximum(1.0 - r2 * s2 / q, 0.0))) / safe
+    return np.where(s2 > 1e-12, val, lim)
+
+
+def trivial_nu(m, p, v):
+    x, _ = p
+    vx, vphi = v
+    s2 = x[..., 0] ** 2 + x[..., 1] ** 2
+    ez_cross = np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])], axis=-1)
+    return -vphi + trivial_a2(m, s2) * np.sum(vx * ez_cross, axis=-1)
+
+
+def trivial_metric_inner(m, p, v, u):
+    x, _ = p
+    e = geometry._warp_factor(m, geometry._geom(m).t_of_base(m, x))
+    return (m.radius ** 2 * np.sum(v[0] * u[0], axis=-1)
+            + e * m.fiber_scale * trivial_nu(m, p, v) * trivial_nu(m, p, u))
+
+
+def gram_matrix(geom, metric, p):
+    # the generator Gram entries (a_ww, a_wz, a_zz) from the factors
+    b, nu, mm = geom.gram(metric, p)
+    return b, b * nu, mm + b * nu * nu
 
 
 def test_profiles_match_closed_forms():
@@ -108,7 +161,7 @@ def test_p_weights_match_the_torus_haar_sum():
             t = np.linspace(0.0, orbit_space_length(metric), n + 1)
             p = geom.curve_P(metric, t[:, None, None])
             pushed = d.star_action(angles[:, None], d.bullet_action(angles, p))
-            gram = geom.gram(metric, pushed)
+            gram = gram_matrix(geom, metric, pushed)
             for a in gram:
                 assert np.max(np.abs(a - a[:, :1, :1])) <= 1e-12 * np.max(np.abs(a)), eid
             a_ww, a_wz, a_zz = gram
@@ -173,8 +226,8 @@ def test_only_a_warp_loads_scipy_interpolate():
 
 
 def test_lean_hopf_gram_matches_metric_inner():
-    # gram writes dpi and nu at Z = i p out by hand; metric_inner is the
-    # definition it must agree with, at pushed P points
+    # gram writes dpi and nu at Z = i p out by hand; hopf_metric_inner is
+    # the definition it must agree with, at pushed P points
     d = catalog("hopf")
     m = kaluza_klein(d)
     angles, _ = circle_rule(8)
@@ -185,16 +238,57 @@ def test_lean_hopf_gram_matches_metric_inner():
                           d.bullet_action(angles, geom.curve_P(metric, t[:, None, None])))
         z = quat_mul(QUAT_I, p)
         w = -quat_mul(p, QUAT_I)
-        a_ww, a_wz, a_zz = geom.gram(metric, p)
-        ref_ww, ref_wz, ref_zz = (geometry.metric_inner(metric, p, w, w),
-                                  geometry.metric_inner(metric, p, w, z),
-                                  geometry.metric_inner(metric, p, z, z))
+        a_ww, a_wz, a_zz = gram_matrix(geom, metric, p)
+        ref_ww, ref_wz, ref_zz = (hopf_metric_inner(metric, p, w, w),
+                                  hopf_metric_inner(metric, p, w, z),
+                                  hopf_metric_inner(metric, p, z, z))
         assert np.array_equal(a_zz.view(np.uint64), ref_zz.view(np.uint64))
         assert a_ww.shape == a_wz.shape == ref_zz.shape
         assert np.max(np.abs(a_ww - ref_ww) / ref_ww) <= 4e-15
         # a_wz vanishes at some points, so it is measured against its
         # Cauchy-Schwarz bound sqrt(a_ww a_zz)
         assert np.max(np.abs(a_wz - ref_wz) / np.sqrt(ref_ww * ref_zz)) <= 4e-15
+
+
+def test_trivial_gram_matches_metric_inner():
+    # gram takes the star generator's connection component in closed form;
+    # trivial_metric_inner evaluates the connection on the generators
+    # W = (0, -1) and Z = (e_z x x, 1) themselves, at pushed P points
+    d = catalog("trivial-s2")
+    m = kaluza_klein(d)
+    angles, _ = circle_rule(8)
+    for metric in (m, warp(m, np.sin(np.linspace(0.0, 3.0, 33)), 0.7)):
+        geom = geometry._geom(metric)
+        t = np.linspace(0.0, orbit_space_length(metric), 257)
+        p = d.star_action(angles[:, None],
+                          d.bullet_action(angles, geom.curve_P(metric, t[:, None, None])))
+        x, phi = p
+        w = (np.zeros_like(x), -np.ones_like(phi))
+        z = (np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])], axis=-1),
+             np.ones_like(phi))
+        a_ww, a_wz, a_zz = gram_matrix(geom, metric, p)
+        ref_ww, ref_wz, ref_zz = (trivial_metric_inner(metric, p, w, w),
+                                  trivial_metric_inner(metric, p, w, z),
+                                  trivial_metric_inner(metric, p, z, z))
+        # a point's metric does not depend on its fiber angle phi, so the
+        # factors come per x and broadcast against the references
+        assert a_ww.shape == a_wz.shape == a_zz.shape == x.shape[:-1]
+        assert np.max(np.abs(a_ww - ref_ww) / ref_ww) <= 4e-15
+        assert np.max(np.abs(a_zz - ref_zz) / ref_zz) <= 4e-15
+        assert np.max(np.abs(a_wz - ref_wz) / np.sqrt(ref_ww * ref_zz)) <= 4e-15
+
+
+@pytest.mark.parametrize("eid", ["trivial-s2", "hopf"])
+def test_weights_hold_the_closed_forms_to_rounding_at_the_finest_grid(eid):
+    # the star-quotient and total-space weights are formed from the
+    # Kaluza-Klein factors without a cancelling difference, so they stay
+    # within rounding of the closed forms on every interior node of the
+    # finest grid the command line accepts
+    m = kaluza_klein(catalog(eid))
+    for side in ("Mprime", "P"):
+        p = orbit_profile(m, side, 65536)
+        ref = closed_form_weight(eid, side, p.t[1:-1])
+        assert np.max(np.abs(p.w[1:-1] - ref) / ref) <= 1e-14, side
 
 
 def test_warp_never_touches_the_bullet_quotient():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bsl.diagrams import catalog
-from bsl.geometry import OrbitProfile, kaluza_klein, orbit_profile
+from bsl.geometry import OrbitProfile, kaluza_klein, orbit_profile, warp
 from bsl.sturm import (
     NonpositiveWeight,
     apply_stiffness,
@@ -110,10 +110,25 @@ def test_interior_weight_must_be_positive():
     w[7] = np.nan
     with pytest.raises(NonpositiveWeight, match=r"side M, n=32, node 7 has w=nan"):
         assemble(profile_with_weight(w))
+    # nor is an infinite weight, which an overflowing fiber term gives
+    w[7] = np.inf
+    with pytest.raises(NonpositiveWeight, match=r"side M, n=32, node 7 has w=inf"):
+        assemble(profile_with_weight(w))
     # zero end weights are fine: collapsing orbits carry no volume
     w = np.ones(33)
     w[0] = w[-1] = 0.0
     assemble(profile_with_weight(w))
+
+
+@pytest.mark.parametrize("eid", ["trivial-s2", "hopf"])
+def test_overflowing_fiber_term_gives_rejected_p_weights(eid):
+    # exp(2 c u) overflows where the warp table is large, and the total
+    # space weight sqrt(b mm) with it
+    m = warp(kaluza_klein(catalog(eid)), np.sin(np.linspace(0.0, 3.0, 33)), 1e3)
+    p = orbit_profile(m, "P", 64)
+    assert np.any(np.isinf(p.w[1:-1]))
+    with pytest.raises(NonpositiveWeight, match=r"side P, n=64, node 8 has w=inf"):
+        assemble(p)
 
 
 def test_assemble_rejects_inconsistent_arrays():
