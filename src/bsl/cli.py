@@ -428,7 +428,3 @@ def main(argv=None) -> int:
     except LookupError as exc:
         print(f"bsl: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,13 +8,15 @@ Richardson-extrapolated from the grid pair (n/2, n) so reports carry
 per-mode error estimates.
 """
 
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import diagrams, geometry
 from .eigen import BasicSpectrum, eigenpairs, extrapolate, solve
-from .sturm import assemble, mass_quadrature, pencil_residual
+from .sturm import NonpositiveWeight, assemble, mass_quadrature, pencil_residual
 
 DEFAULT_SCALES = tuple(2.0 ** e for e in range(-4, 5))
 
@@ -244,7 +246,17 @@ def warp_break(d, m: geometry.MetricSpec, scales=None, n: int = 512):
     reports = []
     for c in [0.0] + [float(s) for s in scales]:
         mw = geometry.warp(m, u, c)
-        s_w, _, _ = _solve_pair(mw, "Mprime", 1, n)
+        try:
+            s_w, _, _ = _solve_pair(mw, "Mprime", 1, n)
+        except NonpositiveWeight as exc:
+            # the unwarped weights passed, and the warp changes only the
+            # fiber term, whose finite positive values keep every weight
+            # positive: so exp(2 c u) B0 left the double range
+            lo, hi = math.log(math.ulp(0.0)), math.log(sys.float_info.max)
+            raise NonpositiveWeight(
+                f"warp scale {c!r} takes the fiber term exp(2 c u) B0 out of "
+                f"the double range: 2c*max|u| = {2.0 * c * np.max(np.abs(u)):.6g}"
+                f", while doubles span e^{lo:.2f} to e^{hi:.2f}; {exc}") from exc
         lam_w, err_w = s_w.lambdas[0], s_w.errors[0]
         _, volz = geometry.star_orbit_volumes(mw, n)
         broke = abs(lam_w - lam_un) > 10.0 * (err_w + err_un)

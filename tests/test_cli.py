@@ -1,6 +1,8 @@
 """Command-line envelope, exit codes, and report post-processing."""
 
 import dataclasses
+import gc
+import importlib
 import json
 import os
 import re
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bsl.__main__ as bsl_main
 import bsl.cli as cli
 import bsl.diagrams as diagrams
 import bsl.eigen as eigen
@@ -153,16 +156,13 @@ def test_bad_arguments_exit_2(capsys):
         assert main(argv + ["--seed", "1"]) == 2, argv
 
 
-def test_readme_exit_code_table(tmp_path, capsys):
-    # one argv per code that the README's exit-code paragraph documents,
-    # each failure reached through real input, with no patched internals
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    para = text[text.index("Exit codes:"):].split("\n\n", 1)[0]
-    documented = sorted(int(c) for c in re.findall(r"`(\d)`", para))
+def exit_code_argvs(tmp_path):
+    """One argv per documented exit code, each reached through real input,
+    with no patched internals."""
     malformed = tmp_path / "bad.json"
     malformed.write_text("{not json")
     out = str(tmp_path / "report.json")
-    argvs = {
+    return {
         0: ["catalog", "--out", out],
         2: ["spectrum", "--diagram", "gm", "--grid", "64"],
         # the warp scale overflows the fiber length, and a Mprime weight
@@ -172,12 +172,71 @@ def test_readme_exit_code_table(tmp_path, capsys):
             "--expect", "nonisospectral", "--out", out],
         5: ["plotdata", str(malformed)],
     }
+
+
+def last_line(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return lines[-1] if lines else ""
+
+
+def test_readme_exit_code_table(tmp_path, capsys):
+    # one argv per code that the README's exit-code paragraph documents
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = text[text.index("Exit codes:"):].split("\n\n", 1)[0]
+    documented = sorted(int(c) for c in re.findall(r"`(\d)`", para))
+    argvs = exit_code_argvs(tmp_path)
     assert documented == sorted(argvs)
     for code, argv in argvs.items():
         assert main(argv) == code, argv
         err = capsys.readouterr().err
         if code == 3:
+            assert ("warp scale 100000.0 takes the fiber term exp(2 c u) B0 "
+                    "out of the double range: 2c*max|u| = 21600.6, while "
+                    "doubles span e^-744.44 to e^709.78") in err
             assert "weight must be positive" in err and "side Mprime, n=32" in err
+
+
+def test_process_entry_keeps_every_exit_code(tmp_path, capsys):
+    # `python -m bsl` freezes the heap before it exits; the code and the
+    # last stderr line stay those of the in-process call
+    for code, argv in exit_code_argvs(tmp_path).items():
+        assert main(argv) == code, argv
+        expected = last_line(capsys.readouterr().err)
+        proc = subprocess.run([sys.executable, "-m", "bsl", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, argv
+        assert last_line(proc.stderr) == expected, argv
+
+
+def test_main_never_freezes_the_heap():
+    # callers run many commands in one process; a freeze there would keep
+    # their cyclic garbage alive for good
+    frozen = gc.get_freeze_count()
+    for code, argv in [
+            (0, ["spectrum", "--diagram", "hopf", "--grid", "64", "--modes", "1"]),
+            (2, ["spectrum", "--diagram", "hopf", "--grid", "100"]),
+            (3, ["warp", "--diagram", "hopf", "--grid", "64", "--scales", "1e4"])]:
+        assert main(argv) == code, argv
+        assert gc.get_freeze_count() == frozen, argv
+
+
+def test_process_entry_freezes_the_heap_on_exit():
+    code = ("import gc, sys; from bsl.__main__ import run; "
+            "sys.argv = ['bsl', 'catalog']; rc = run(); "
+            "print(rc, gc.get_freeze_count() > 0, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "[spectra unsupported]" in proc.stdout
+    assert proc.stderr.strip() == "0 True"
+
+
+def test_script_entry_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["bsl"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is bsl_main.run
 
 
 @pytest.mark.parametrize("eid", ["hopf", "trivial-s2"])
@@ -193,13 +252,19 @@ def test_overflowing_warp_scales_exit_3_without_warnings(eid, capsys):
     # beyond it the fiber term overflows to inf where the warp table is
     # positive (the weight is then inf / inf = NaN) and underflows to 0
     # where it is negative (the weight is then 0); node 1 is on the
-    # positive side for hopf and on the negative one for trivial-s2
+    # positive side for hopf and on the negative one for trivial-s2.  The
+    # message names the cause: the scale, and 2c max|u| (max|u| = 0.108)
+    # against the double range
     value = {"hopf": "nan", "trivial-s2": "0.0"}[eid]
-    for scale in ("1e4", "1e5", "1e300"):
+    for scale, exponent in (("1e4", "2160.06"), ("1e5", "21600.6"),
+                            ("1e300", "2.16006e+299")):
         assert main(["warp", "--diagram", eid, "--grid", "64",
                      "--scales", scale]) == 3, scale
         err = capsys.readouterr().err
-        assert "weight must be positive" in err, scale
+        assert (f"bsl: warp scale {float(scale)!r} takes the fiber term "
+                f"exp(2 c u) B0 out of the double range: 2c*max|u| = "
+                f"{exponent}, while doubles span e^-744.44 to e^709.78; "
+                f"weight must be positive") in err, scale
         assert f"side Mprime, n=32, node 1 has w={value}" in err, scale
 
 
