@@ -35,7 +35,6 @@ from .geometry import (
     NotCohomogeneityOne,
     OrbitProfile,
     UnknownDiagram,
-    fiber_volume_profile,
     kaluza_klein,
     laplacian_identity_residual,
     mean_curvature,
@@ -51,17 +50,11 @@ from .sturm import (
     apply_stiffness,
     assemble,
     mass_quadrature,
-    zero_mean_project,
 )
 from .eigen import (
     BasicSpectrum,
     ConvergenceFailure,
-    FingerprintMismatch,
-    ZeroVector,
     eigenpairs,
-    extrapolate,
-    rayleigh,
-    solve,
 )
 from .lab import (
     CompareReport,

@@ -50,6 +50,13 @@ def _samples_type(s: str) -> int:
     return k
 
 
+def _seed_type(s: str) -> int:
+    seed = int(s)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be an integer >= 0")
+    return seed
+
+
 def _tolerance_type(s: str) -> float:
     tol = float(s)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -77,11 +84,14 @@ def _scales_type(s: str):
 
 
 def _out_path(s: str) -> str:
-    # checked before any work: a missing directory would otherwise fail
-    # only at the final write, after the whole solve
+    # checked before any work: a missing directory, or a directory in
+    # place of the file, would otherwise fail only at the final write,
+    # after the whole solve
     parent = os.path.dirname(os.path.abspath(s))
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
+    if os.path.isdir(s):
+        raise argparse.ArgumentTypeError(f"{s!r} is a directory, not a file")
     return s
 
 
@@ -133,28 +143,28 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _spectrum_result(spec) -> dict:
+def _spectrum_result(spec, include_zero: bool) -> dict:
+    modes = list(zip(spec.lambdas.tolist(), spec.errors.tolist()))
+    if include_zero:
+        # exact for constants, so prepended with value and error 0
+        modes.insert(0, (0.0, 0.0))
     return {"side": spec.side, "n": spec.n, "fingerprint": spec.fingerprint,
             # modes are simple; "mult" stays, always 1, for schema stability
             "modes": [{"lambda": lam, "mult": 1, "err": err}
-                      for lam, err in zip(spec.lambdas.tolist(),
-                                          spec.errors.tolist())]}
+                      for lam, err in modes]}
 
 
 def cmd_spectrum(args) -> int:
     m = geometry.kaluza_klein(args.diagram)
-    # the grid-n profile is built once, for the solve and for the dump
-    prof = None
+    # one grid-n profile serves the solve and the dump
+    prof = geometry.orbit_profile(m, args.side, args.grid)
+    spec, _, _ = lab._richardson(prof, args.modes)
     if args.dump_profile:
-        prof = geometry.orbit_profile(m, args.side, args.grid)
-    spec = lab._extrapolated(m, args.side, args.modes, args.grid,
-                             args.include_zero, prof)
-    if prof is not None:
         geometry.write_profile(prof, m, args.dump_profile)
     cfg = _base_config(args, diagram=args.diagram, side=args.side,
                        grid=args.grid, modes=args.modes,
                        include_zero=args.include_zero)
-    result = _spectrum_result(spec)
+    result = _spectrum_result(spec, args.include_zero)
     lines = ["index,lambda,mult,err"]
     for i, mode in enumerate(result["modes"], 1):
         lines.append(f"{i},{mode['lambda']!r},{mode['mult']},{mode['err']!r}")
@@ -395,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="exact checks of the diagram actions")
     sp.add_argument("--diagram", required=True, choices=diagrams.CATALOG_IDS)
     sp.add_argument("--samples", type=_samples_type, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed_type, default=0)
     sp.add_argument("--out", type=_out_path)
     sp.set_defaults(func=cmd_verify)
 

@@ -19,14 +19,16 @@ fixed relative residual cannot serve as the certificate on fine grids:
 double precision leaves a residual near eps ||C||.  Where the pencil
 residual ||A u - lambda B u|| <= 1e-9 ||B u|| is attainable (grids up to
 1024) it is required as well.  The dense cross-check lives in the tests.
+
+This module solves one grid; the Richardson step over a grid pair, the
+only builder of a BasicSpectrum, is lab._richardson.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sturm import (DiscreteOperator, apply_stiffness, pencil_residual,
-                    zero_mean_project)
+from .sturm import DiscreteOperator, pencil_residual
 
 _BACKWARD_C = 64.0          # backward-error bound in units of eps; tests
                             # shrink it to force the failure path
@@ -42,18 +44,10 @@ class TooManyModes(ValueError):
     """More modes requested than the condensed grid holds."""
 
 
-class ZeroVector(ValueError):
-    """Rayleigh quotient of a vector with no zero-mean component."""
-
-
-class FingerprintMismatch(ValueError):
-    """Spectra being combined come from different metrics or sides."""
-
-
 @dataclass(frozen=True, eq=False)
 class BasicSpectrum:
     """Nonzero modes, ascending: mode j has eigenvalue lambdas[j] and error
-    estimate errors[j] (zero for a single-grid solve).
+    estimate errors[j].
 
     Modes are simple: every condensed pencil is an unreduced Jacobi
     matrix, whose eigenvalues are distinct.  Both arrays are read-only.
@@ -173,42 +167,3 @@ def eigenpairs(op: DiscreteOperator, k: int):
                     "relative pencil residual %.3e exceeds %.0e at mode %d %s"
                     % (rel, _RESIDUAL_REL, j + 1, where))
     return lams, vecs
-
-
-def solve(op: DiscreteOperator, k: int) -> BasicSpectrum:
-    """First k nonzero eigenvalues of the pencil, with zero error estimates."""
-    lams, _vecs = eigenpairs(op, k)
-    return BasicSpectrum(lambdas=lams, errors=np.zeros(k), n=op.n,
-                         side=op.side, fingerprint=op.fingerprint)
-
-
-def rayleigh(op: DiscreteOperator, u) -> float:
-    """Rayleigh quotient of the zero-mean part of u."""
-    u = np.asarray(u, dtype=float)
-    total = float(u @ (op.mass * u))
-    v = zero_mean_project(op, u)
-    bnorm2 = float(v @ (op.mass * v))
-    if bnorm2 <= 1e-28 * max(total, 1e-300):
-        raise ZeroVector("vector has no zero-mean component")
-    return float(v @ apply_stiffness(op, v)) / bnorm2
-
-
-def extrapolate(coarse: BasicSpectrum, fine: BasicSpectrum) -> BasicSpectrum:
-    """Richardson-extrapolate paired spectra from grids n and 2n.
-
-    The scheme is second order, so lambda = (4 l_2n - l_n) / 3 kills the
-    leading error term; the per-mode error estimate is |l_2n - l_n| / 3.
-    """
-    if coarse.fingerprint != fine.fingerprint or coarse.side != fine.side:
-        raise FingerprintMismatch("spectra come from different pencils")
-    if fine.n != 2 * coarse.n:
-        raise ValueError("extrapolation needs grids n and 2n")
-    l1 = coarse.lambdas
-    l2 = fine.lambdas
-    if l1.size != l2.size:
-        raise ValueError("spectra hold different mode counts")
-    lam = (4.0 * l2 - l1) / 3.0
-    err = np.abs(l2 - l1) / 3.0
-    order = np.argsort(lam, kind="stable")
-    return BasicSpectrum(lambdas=lam[order], errors=err[order], n=fine.n,
-                         side=fine.side, fingerprint=fine.fingerprint)

@@ -326,14 +326,6 @@ def orbit_profile(m: MetricSpec, side: str, n: int) -> OrbitProfile:
                         fingerprint=m.fingerprint())
 
 
-def fiber_volume_profile(m: MetricSpec, n: int):
-    """Interior ratio w_P / w_M, the bullet-fiber volume along the orbit
-    space (constant for unwarped metrics)."""
-    wp = orbit_profile(m, "P", n)
-    wm = orbit_profile(m, "M", n)
-    return wp.t[1:-1], wp.w[1:-1] / wm.w[1:-1]
-
-
 def star_orbit_volumes(m: MetricSpec, n: int):
     """Volumes of the star orbits along the section curve."""
     geom = _geom(m)

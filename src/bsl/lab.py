@@ -3,8 +3,9 @@
 Four procedures: compare the basic spectra of the two quotients of a
 diagram, certify a transported eigenfunction on the far side, run the
 vertical warp-break schedule, and check the quadrature version of the
-fiber-integration identity.  Every spectrum here is
-Richardson-extrapolated from the grid pair (n/2, n) so reports carry
+fiber-integration identity.  Every spectrum here comes from one
+Richardson step, `_richardson`: one grid-n profile, solved on its even
+nodes (grid n/2) and on all of them, and extrapolated, so reports carry
 per-mode error estimates.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagrams, geometry
-from .eigen import BasicSpectrum, eigenpairs, extrapolate, solve
+from .eigen import BasicSpectrum, eigenpairs
 from .sturm import NonpositiveWeight, assemble, mass_quadrature, pencil_residual
 
 DEFAULT_SCALES = tuple(2.0 ** e for e in range(-4, 5))
@@ -64,59 +65,43 @@ def _check_matching(entry_id: str, m: geometry.MetricSpec):
             f"metric is for {m.entry_id!r} but the diagram is {entry_id!r}")
 
 
-def _grid_ok(n: int):
-    n = int(n)
-    if n % 2 != 0 or n // 2 < 16:
-        raise ValueError("extrapolation needs an even grid with n/2 >= 16")
-    return n
-
-
 def _even_nodes(a):
     h = a[::2].copy()
     h.flags.writeable = False
     return h
 
 
-def _solve_pair(m, side, k, n, fine=None):
-    """Extrapolated spectrum from (n/2, n) plus the fine-grid operator and
-    eigenvectors; fine is the grid-n profile when the caller has built it
-    already.
+def _richardson(profile, k):
+    """Richardson-extrapolated spectrum from the grid pair (n/2, n), with
+    the grid-n operator and eigenvectors.
 
-    Only the grid-n profile is built: the grid-n/2 profile is its even
+    profile is the grid-n profile; the grid-n/2 profile is its even
     nodes, bit for bit what a fresh build at n/2 gives, because the
     grid-n/2 nodes are the even grid-n nodes and each node's weight is
-    computed on its own.  All profile work is done before the first solve.
+    computed on its own.  The scheme is second order, so
+    lambda = (4 l_n - l_{n/2}) / 3 kills the leading error term; the
+    per-mode error estimate is |l_n - l_{n/2}| / 3.
     """
-    if fine is None:
-        fine = geometry.orbit_profile(m, side, n)
-    half = replace(fine, t=_even_nodes(fine.t), w=_even_nodes(fine.w), n=n // 2)
-    coarse = solve(assemble(half), k)
-    op = assemble(fine)
-    lams, vecs = eigenpairs(op, k)
-    spec = BasicSpectrum(lambdas=lams, errors=np.zeros(k), n=op.n,
+    n = profile.n
+    if n % 2 != 0 or n // 2 < 16:
+        raise ValueError("extrapolation needs an even grid with n/2 >= 16")
+    half = replace(profile, t=_even_nodes(profile.t), w=_even_nodes(profile.w),
+                   n=n // 2)
+    l1 = eigenpairs(assemble(half), k)[0]
+    op = assemble(profile)
+    l2, vecs = eigenpairs(op, k)
+    lam = (4.0 * l2 - l1) / 3.0
+    err = np.abs(l2 - l1) / 3.0
+    order = np.argsort(lam, kind="stable")
+    spec = BasicSpectrum(lambdas=lam[order], errors=err[order], n=n,
                          side=op.side, fingerprint=op.fingerprint)
-    return extrapolate(coarse, spec), op, vecs
+    return spec, op, vecs
 
 
-def extrapolated_spectrum(m: geometry.MetricSpec, side: str, k: int, n: int,
-                          include_zero: bool = False) -> BasicSpectrum:
-    """Richardson-extrapolated spectrum from the grid pair (n/2, n).
-
-    The zero mode is exact for constants, so include_zero prepends the
-    mode (0, 0), with value and error zero, instead of solving for it.
-    """
-    return _extrapolated(m, side, k, n, include_zero)
-
-
-def _extrapolated(m, side, k, n, include_zero, fine=None):
-    # extrapolated_spectrum on a grid-n profile the caller may hold
-    # (`spectrum --dump-profile` writes it out)
-    n = _grid_ok(n)
-    ext, _, _ = _solve_pair(m, side, k, n, fine)
-    if include_zero:
-        ext = replace(ext, lambdas=np.r_[0.0, ext.lambdas],
-                      errors=np.r_[0.0, ext.errors])
-    return ext
+def extrapolated_spectrum(m: geometry.MetricSpec, side: str, k: int,
+                          n: int) -> BasicSpectrum:
+    """Richardson-extrapolated spectrum from the grid pair (n/2, n)."""
+    return _richardson(geometry.orbit_profile(m, side, n), k)[0]
 
 
 def compare_basic_spectra(d, m: geometry.MetricSpec, k: int, n: int) -> CompareReport:
@@ -128,22 +113,19 @@ def compare_basic_spectra(d, m: geometry.MetricSpec, k: int, n: int) -> CompareR
     """
     _diag, entry_id = _resolve(d)
     _check_matching(entry_id, m)
-    n = _grid_ok(n)
-    ext_m, _, _ = _solve_pair(m, "M", k, n)
+    ext_m = extrapolated_spectrum(m, "M", k, n)
     if entry_id == "trivial-s2" and m.warp_u is None:
         ext_p = replace(ext_m, side="Mprime")
     else:
-        ext_p, _, _ = _solve_pair(m, "Mprime", k, n)
+        ext_p = extrapolated_spectrum(m, "Mprime", k, n)
     lm, em = ext_m.lambdas, ext_m.errors
     lp, ep = ext_p.lambdas, ext_p.errors
-    if lm.size != lp.size:
-        raise RuntimeError("mode counts differ between the two sides")
     denom = np.maximum(np.maximum(np.abs(lm), np.abs(lp)), 1e-300)
     relgaps = np.abs(lm - lp) / denom
     max_relgap = float(np.max(relgaps))
     tolerance = max(1e-8, 3.0 * float(np.max((em + ep) / denom)))
     return CompareReport(entry_id=entry_id, fingerprint=m.fingerprint(),
-                         k=int(k), n=n,
+                         k=int(k), n=ext_m.n,
                          lambda_m=tuple(float(v) for v in lm),
                          lambda_mprime=tuple(float(v) for v in lp),
                          err_m=tuple(float(v) for v in em),
@@ -232,10 +214,9 @@ def warp_break(d, m: geometry.MetricSpec, scales=None, n: int = 512):
     _check_matching(entry_id, m)
     if m.warp_u is not None:
         raise ValueError("the base metric of a warp schedule must be unwarped")
-    n = _grid_ok(n)
     if scales is None:
         scales = DEFAULT_SCALES
-    s_un, op_un, vecs_un = _solve_pair(m, "Mprime", 1, n)
+    s_un, op_un, vecs_un = _richardson(geometry.orbit_profile(m, "Mprime", n), 1)
     lam_un, err_un = s_un.lambdas[0], s_un.errors[0]
     u = vecs_un[:, 0].copy()
     pos = float(op_un.mass @ np.maximum(u, 0.0))
@@ -247,7 +228,7 @@ def warp_break(d, m: geometry.MetricSpec, scales=None, n: int = 512):
     for c in [0.0] + [float(s) for s in scales]:
         mw = geometry.warp(m, u, c)
         try:
-            s_w, _, _ = _solve_pair(mw, "Mprime", 1, n)
+            s_w = extrapolated_spectrum(mw, "Mprime", 1, n)
         except NonpositiveWeight as exc:
             # the unwarped weights passed, and the warp changes only the
             # fiber term, whose finite positive values keep every weight
@@ -261,7 +242,7 @@ def warp_break(d, m: geometry.MetricSpec, scales=None, n: int = 512):
         _, volz = geometry.star_orbit_volumes(mw, n)
         broke = abs(lam_w - lam_un) > 10.0 * (err_w + err_un)
         reports.append(WarpReport(
-            entry_id=entry_id, fingerprint=mw.fingerprint(), scale=c, n=n,
+            entry_id=entry_id, fingerprint=mw.fingerprint(), scale=c, n=s_w.n,
             lambda1_unwarped=float(lam_un), err_unwarped=float(err_un),
             lambda1_warped=float(lam_w), err_warped=float(err_w),
             star_volume_range=(float(np.min(volz)), float(np.max(volz))),

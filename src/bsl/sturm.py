@@ -78,9 +78,3 @@ def pencil_residual(op: DiscreteOperator, lam, u) -> float:
 def mass_quadrature(op: DiscreteOperator) -> np.ndarray:
     """Quadrature weights dt * B for integrals against the profile measure."""
     return op.dt * op.mass
-
-
-def zero_mean_project(op: DiscreteOperator, u) -> np.ndarray:
-    """Remove the B-weighted mean; idempotent up to rounding."""
-    u = np.asarray(u, dtype=float)
-    return u - (op.mass @ u) / np.sum(op.mass)

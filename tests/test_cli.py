@@ -139,6 +139,8 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["spectrum", "--diagram", "hopf", "--grid", "131072"]) == 2
     assert main(["verify", "--diagram", "gm", "--samples", "0"]) == 2
     assert main(["verify", "--diagram", "gm", "--samples", "-5"]) == 2
+    assert main(["verify", "--diagram", "gm", "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
     for tol in ("-1", "nan", "inf"):
         assert main(["compare", "--diagram", "hopf", "--grid", "64",
                      "--tolerance", tol]) == 2
@@ -283,7 +285,7 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    for name in ("cmd_catalog", "cmd_spectrum", "cmd_plotdata"):
+    for name in ("cmd_catalog", "cmd_spectrum", "cmd_verify", "cmd_plotdata"):
         monkeypatch.setattr(cli, name, no_work)
     bad = os.path.join(tmp_path, "no-such-dir", "x")
     for argv in (["catalog", "--out", bad],
@@ -292,6 +294,15 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
                  ["plotdata", os.path.join(tmp_path, "in.json"), "--svg", bad]):
         assert main(argv) == 2, argv
         assert "does not exist" in capsys.readouterr().err
+    # an existing directory in place of the output file
+    here = str(tmp_path)
+    for argv in (["spectrum", "--diagram", "hopf", "--grid", "64", "--out", here],
+                 ["spectrum", "--diagram", "hopf", "--dump-profile", here],
+                 ["catalog", "--out", here],
+                 ["verify", "--diagram", "gm", "--out", here + os.sep],
+                 ["plotdata", os.path.join(tmp_path, "in.json"), "--svg", here]):
+        assert main(argv) == 2, argv
+        assert "is a directory" in capsys.readouterr().err
 
 
 def test_modes_beyond_the_coarse_grid_exit_2(capsys):

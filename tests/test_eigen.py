@@ -9,21 +9,34 @@ import pytest
 import scipy.linalg
 
 import bsl.eigen as eigen
+import bsl.lab as lab
 from bsl.diagrams import catalog
 from bsl.eigen import (
     BasicSpectrum,
     ConvergenceFailure,
-    FingerprintMismatch,
     TooManyModes,
-    ZeroVector,
     condensed,
     eigenpairs,
-    extrapolate,
-    rayleigh,
-    solve,
 )
 from bsl.geometry import OrbitProfile, kaluza_klein, orbit_profile, warp
+from bsl.lab import extrapolated_spectrum
 from bsl.sturm import apply_stiffness, assemble
+
+
+class ZeroVector(ValueError):
+    """Rayleigh quotient of a vector with no zero-mean component."""
+
+
+def rayleigh(op, u) -> float:
+    """Rayleigh quotient of the zero-mean part of u: the reference the
+    first eigenvalue minimises."""
+    u = np.asarray(u, dtype=float)
+    total = float(u @ (op.mass * u))
+    v = u - (op.mass @ u) / np.sum(op.mass)
+    bnorm2 = float(v @ (op.mass * v))
+    if bnorm2 <= 1e-28 * max(total, 1e-300):
+        raise ZeroVector("vector has no zero-mean component")
+    return float(v @ apply_stiffness(op, v)) / bnorm2
 
 
 def flat_profile(n, L=math.pi):
@@ -156,30 +169,14 @@ def test_rayleigh_quotient():
 def test_extrapolation_beats_the_fine_grid():
     m = kaluza_klein(catalog("hopf"))
     oracle = np.array([8.0, 24.0, 48.0])
-    coarse = solve(assemble(orbit_profile(m, "M", 128)), 3)
-    fine = solve(assemble(orbit_profile(m, "M", 256)), 3)
-    ext = extrapolate(coarse, fine)
-    err_fine = np.abs(fine.lambdas - oracle) / oracle
+    fine, _ = eigenpairs(assemble(orbit_profile(m, "M", 256)), 3)
+    ext = extrapolated_spectrum(m, "M", 3, 256)
+    err_fine = np.abs(fine - oracle) / oracle
     err_ext = np.abs(ext.lambdas - oracle) / oracle
     assert np.all(err_ext < 0.05 * err_fine)
     # and the reported error estimate brackets the truth comfortably
     for lam, est, truth in zip(ext.lambdas, ext.errors, oracle):
         assert abs(lam - truth) <= 10.0 * max(est, 1e-12)
-
-
-def test_extrapolate_validates_inputs():
-    m = kaluza_klein(catalog("hopf"))
-    c = solve(assemble(orbit_profile(m, "M", 128)), 2)
-    f = solve(assemble(orbit_profile(m, "M", 256)), 2)
-    fp = solve(assemble(orbit_profile(m, "Mprime", 256)), 2)
-    with pytest.raises(FingerprintMismatch):
-        extrapolate(c, fp)
-    with pytest.raises(ValueError):
-        extrapolate(c, solve(assemble(orbit_profile(m, "M", 512)), 2))
-    other = kaluza_klein(catalog("hopf"), radius=0.7)
-    fo = solve(assemble(orbit_profile(other, "M", 256)), 2)
-    with pytest.raises(FingerprintMismatch):
-        extrapolate(c, fo)
 
 
 def test_certificate_failure_is_reported(monkeypatch):
@@ -229,31 +226,35 @@ def test_backward_error_certificate_up_to_the_finest_grid():
                     assert eta <= bound, (eid, side, n, j, eta)
 
 
-def test_extrapolation_keeps_close_modes_apart():
+def test_extrapolation_keeps_close_modes_apart(monkeypatch):
     # modes are simple: a pair 1e-7 apart stays two modes, each with the
     # error estimate of its own grid pair
     fine_vals = np.array([4.0, 4.0 + 1e-7, 9.0])
     errs = np.array([1e-9, 2e-9, 5e-9])
+    synthetic = {64: fine_vals - 3.0 * errs, 128: fine_vals}
 
-    def spectrum(n, lams):
-        return BasicSpectrum(lambdas=lams, errors=np.zeros(3), n=n, side="M",
-                             fingerprint="synthetic")
+    def synthetic_eigenpairs(op, k):
+        return synthetic[op.n], np.zeros((op.n + 1, k))
 
-    ext = extrapolate(spectrum(128, fine_vals - 3.0 * errs),
-                      spectrum(256, fine_vals))
+    monkeypatch.setattr(lab, "eigenpairs", synthetic_eigenpairs)
+    ext, _, _ = lab._richardson(flat_profile(128), 3)
     assert ext.lambdas.size == 3 and np.all(np.diff(ext.lambdas) > 0.0)
     assert np.allclose(ext.lambdas, fine_vals + errs, rtol=0.0, atol=1e-14)
     assert np.allclose(ext.errors, errs, rtol=1e-5, atol=0.0)
 
 
 def test_solve_returns_a_basic_spectrum():
-    # the exact zero mode is prepended by extrapolated_spectrum only
-    op = hopf_operator(128)
-    spec = solve(op, 2)
+    # the Richardson step builds the one BasicSpectrum, on the grid-n
+    # operator it returns with its vectors; the exact zero mode is
+    # prepended by the CLI only
+    prof = orbit_profile(kaluza_klein(catalog("hopf")), "M", 128)
+    spec, op, vecs = lab._richardson(prof, 2)
     assert isinstance(spec, BasicSpectrum)
-    assert spec.fingerprint == op.fingerprint
+    assert spec.fingerprint == op.fingerprint == prof.fingerprint
+    assert (spec.n, spec.side) == (op.n, op.side) == (128, "M")
     assert spec.lambdas.size == 2 and spec.lambdas[0] > 0.0
-    assert np.array_equal(spec.errors, np.zeros(2))
+    assert spec.errors.size == 2 and np.all(spec.errors > 0.0)
+    assert vecs.shape == (129, 2)
     assert not spec.lambdas.flags.writeable and not spec.errors.flags.writeable
 
 

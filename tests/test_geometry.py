@@ -17,7 +17,6 @@ from bsl.geometry import (
     GridMismatch,
     NotCohomogeneityOne,
     UnknownDiagram,
-    fiber_volume_profile,
     kaluza_klein,
     laplacian_identity_residual,
     mean_curvature,
@@ -30,6 +29,14 @@ from bsl.geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def fiber_volume_profile(m, n):
+    """Interior ratio w_P / w_M, the bullet-fiber volume along the orbit
+    space (constant for unwarped metrics)."""
+    wp = orbit_profile(m, "P", n)
+    wm = orbit_profile(m, "M", n)
+    return wp.t[1:-1], wp.w[1:-1] / wm.w[1:-1]
 
 
 def closed_form_weight(eid, side, t):

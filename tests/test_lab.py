@@ -179,14 +179,13 @@ def test_fubini_defect_validates_table():
 
 def test_extrapolated_spectrum_api():
     m = kaluza_klein("hopf")
-    spec = extrapolated_spectrum(m, "M", 2, 256, include_zero=True)
-    assert (spec.lambdas[0], spec.errors[0]) == (0.0, 0.0)
-    assert spec.lambdas.size == 3
-    assert abs(spec.lambdas[1] - 8.0) <= 1e-5
-    with pytest.raises(ValueError):
-        extrapolated_spectrum(m, "M", 2, 101)
-    with pytest.raises(ValueError):
-        extrapolated_spectrum(m, "M", 2, 30)
+    spec = extrapolated_spectrum(m, "M", 2, 256)
+    assert spec.lambdas.size == spec.errors.size == 2
+    assert abs(spec.lambdas[0] - 8.0) <= 1e-5
+    # an odd grid, and one whose n/2 grid has fewer than 16 cells
+    for n in (101, 30):
+        with pytest.raises(ValueError, match=r"even grid with n/2 >= 16"):
+            extrapolated_spectrum(m, "M", 2, n)
 
 
 @pytest.mark.parametrize("eid", ["hopf", "trivial-s2"])
@@ -207,7 +206,7 @@ def test_derived_half_profile_equals_a_fresh_build(eid, monkeypatch):
         for side in ("M", "Mprime", "P"):
             for n in (32, 34, 1000, 258, 8192):
                 seen.clear()
-                lab._solve_pair(metric, side, 1, n)
+                extrapolated_spectrum(metric, side, 1, n)
                 half = seen[0]
                 fresh = orbit_profile(metric, side, n // 2)
                 assert (half.n, half.L, half.side, half.entry_id) == \

@@ -12,8 +12,13 @@ from bsl.sturm import (
     apply_stiffness,
     assemble,
     mass_quadrature,
-    zero_mean_project,
 )
+
+
+def zero_mean_project(op, u):
+    """Remove the B-weighted mean; idempotent up to rounding."""
+    u = np.asarray(u, dtype=float)
+    return u - (op.mass @ u) / np.sum(op.mass)
 
 
 def flat_profile(n, L=math.pi):
