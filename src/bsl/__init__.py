@@ -42,7 +42,6 @@ from .geometry import (
     orbit_space_length,
     star_orbit_volumes,
     warp,
-    write_profile,
 )
 from .sturm import (
     DiscreteOperator,

@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
-Subcommands: catalog, spectrum, compare, warp, verify, plotdata.  Every
-JSON output is a versioned envelope {schema, tool, version, command,
-config, result} written atomically, so identical configurations produce
-byte-identical files; only verify draws random numbers, and its config
-records the seed.  Exit codes:
+Subcommands: catalog, spectrum, compare, warp, verify.  Every JSON
+output is a versioned envelope {schema, tool, version, command, config,
+result}, so identical configurations produce byte-identical files; only
+verify draws random numbers, and its config records the seed.  This
+module owns every file bsl writes: it formats the JSON, CSV and text
+outputs and the profile dump with its sidecar, and writes each one
+atomically.  Exit codes:
 0 success, 2 usage or unsupported diagram, 3 solver failure or a profile
 weight that is not positive and finite (a warp scale at which the fiber
-length overflows or underflows makes one), 4 failed --expect assertion,
-5 malformed plotdata input.
+length overflows or underflows makes one), 4 failed --expect assertion.
+Code 5 belonged to the removed plotdata command and is not reused.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__, diagrams, geometry, lab
 from .eigen import ConvergenceFailure, TooManyModes
-from .geometry import NotCohomogeneityOne, _atomic_write_text
+from .geometry import NotCohomogeneityOne
 from .sturm import NonpositiveWeight
 
 _GRID_MAX = 65536
@@ -87,11 +89,28 @@ def _out_path(s: str) -> str:
     # checked before any work: a missing directory, or a directory in
     # place of the file, would otherwise fail only at the final write,
     # after the whole solve
+    if not s:
+        raise argparse.ArgumentTypeError("output path is empty")
     parent = os.path.dirname(os.path.abspath(s))
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
     if os.path.isdir(s):
         raise argparse.ArgumentTypeError(f"{s!r} is a directory, not a file")
+    # abspath drops a trailing separator, so "new/" would write a file "new"
+    if os.path.basename(s) in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"{s!r} names a directory, not a file")
+    return s
+
+
+def _sidecar_path(csv_path: str) -> str:
+    root, ext = os.path.splitext(csv_path)
+    return (root if ext.lower() == ".csv" else csv_path) + ".json"
+
+
+def _dump_path(s: str) -> str:
+    # the dump writes its CSV and a sidecar derived from it
+    _out_path(s)
+    _out_path(_sidecar_path(s))
     return s
 
 
@@ -111,6 +130,46 @@ def _write(out, text: str):
         _atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _atomic_write_text(path: str, text: str):
+    # created with mode 0o666, so the kernel applies the umask as open()
+    # would; mkstemp's 0o600 would survive the rename
+    target = os.path.abspath(path)
+    tmp = os.path.join(os.path.dirname(target), f".bsl-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _profile_csv_text(p) -> str:
+    h = geometry.mean_curvature(p)
+    lines = ["t,w,h"]
+    for ti, wi, hi in zip(p.t, p.w, h):
+        lines.append(f"{float(ti)!r},{float(wi)!r},{float(hi)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _write_profile(p, m, csv_path: str):
+    """Dump a profile as CSV plus a JSON sidecar."""
+    _atomic_write_text(csv_path, _profile_csv_text(p))
+    meta = {
+        "entry": p.entry_id,
+        "side": p.side,
+        "n": p.n,
+        "L": p.L,
+        "endpoints": list(p.endpoints),
+        "Q": m.fiber_scale,
+        "warp_scale": m.warp_scale if m.warp_u is not None else 0.0,
+    }
+    _atomic_write_text(_sidecar_path(csv_path),
+                       json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def _base_config(args, **extra) -> dict:
@@ -155,12 +214,18 @@ def _spectrum_result(spec, include_zero: bool) -> dict:
 
 
 def cmd_spectrum(args) -> int:
+    if args.dump_profile and args.out and os.path.abspath(args.out) in (
+            os.path.abspath(args.dump_profile),
+            os.path.abspath(_sidecar_path(args.dump_profile))):
+        print(f"bsl: --out {args.out!r} is a file that --dump-profile writes",
+              file=sys.stderr)
+        return 2
     m = geometry.kaluza_klein(args.diagram)
     # one grid-n profile serves the solve and the dump
     prof = geometry.orbit_profile(m, args.side, args.grid)
     spec, _, _ = lab._richardson(prof, args.modes)
     if args.dump_profile:
-        geometry.write_profile(prof, m, args.dump_profile)
+        _write_profile(prof, m, args.dump_profile)
     cfg = _base_config(args, diagram=args.diagram, side=args.side,
                        grid=args.grid, modes=args.modes,
                        include_zero=args.include_zero)
@@ -181,8 +246,12 @@ def cmd_compare(args) -> int:
     cfg = _base_config(args, diagram=args.diagram, grid=args.grid,
                        modes=args.modes, expect=args.expect,
                        tolerance=args.tolerance)
+    lines = ["index,lambda_M,lambda_Mprime,relgap"]
+    for i, (a, b, g) in enumerate(zip(report.lambda_m, report.lambda_mprime,
+                                      report.relgaps), 1):
+        lines.append(f"{i},{a!r},{b!r},{g!r}")
     rc = _emit(args, "compare", cfg, asdict(report),
-               csv_text=lab.compare_csv_text(report))
+               csv_text="\n".join(lines) + "\n")
     if args.expect == "isospectral" and not report.isospectral:
         print("bsl: expected isospectral, verdict says otherwise", file=sys.stderr)
         return 4
@@ -258,108 +327,6 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plotdata
-
-
-def _series_from_json(doc):
-    cmd = doc.get("command")
-    res = doc.get("result")
-    if cmd == "spectrum":
-        xs = list(range(1, len(res["modes"]) + 1))
-        ys = [mode["lambda"] for mode in res["modes"]]
-        return "index,lambda", xs, ys
-    if cmd == "compare":
-        xs = list(range(1, len(res["relgaps"]) + 1))
-        ys = list(res["relgaps"])
-        return "index,relgap", xs, ys
-    if cmd == "warp":
-        xs = [r["scale"] for r in res["reports"]]
-        ys = [r["lambda1_warped"] for r in res["reports"]]
-        return "scale,lambda1_warped", xs, ys
-    raise ValueError(f"no plottable series in a {cmd!r} report")
-
-
-def _series_from_csv(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split(",")[:2] != ["t", "w"]:
-        raise ValueError("profile CSV must start with a t,w header")
-    xs, ys = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) < 2:
-            raise ValueError(f"profile CSV row {ln!r} has no w field")
-        xs.append(float(parts[0]))
-        ys.append(float(parts[1]))
-    return "t,w", xs, ys
-
-
-def _check_plottable(xs, ys):
-    # the SVG scales both axes to the data range, so every value and
-    # both ranges must be finite numbers
-    if not xs:
-        raise ValueError("no data points to plot")
-    for vals in (xs, ys):
-        if not (all(math.isfinite(v) for v in vals)
-                and math.isfinite(max(vals) - min(vals))):
-            raise ValueError("plotted values and their ranges must be finite")
-
-
-def _svg_text(header: str, xs, ys) -> str:
-    W, H, pad = 640.0, 400.0, 50.0
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    if xmax <= xmin:
-        xmin, xmax = xmin - 0.5, xmax + 0.5
-    if ymax <= ymin:
-        ymin, ymax = ymin - 0.5, ymax + 0.5
-
-    def sx(x):
-        return pad + (x - xmin) / (xmax - xmin) * (W - 2 * pad)
-
-    def sy(y):
-        return H - pad - (y - ymin) / (ymax - ymin) * (H - 2 * pad)
-
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    xl, yl = header.split(",", 1)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" height="{H:.0f}" '
-        f'viewBox="0 0 {W:.0f} {H:.0f}">\n'
-        f'  <rect x="0" y="0" width="{W:.0f}" height="{H:.0f}" fill="white"/>\n'
-        f'  <line x1="{pad:.2f}" y1="{H - pad:.2f}" x2="{W - pad:.2f}" '
-        f'y2="{H - pad:.2f}" stroke="black"/>\n'
-        f'  <line x1="{pad:.2f}" y1="{pad:.2f}" x2="{pad:.2f}" '
-        f'y2="{H - pad:.2f}" stroke="black"/>\n'
-        f'  <polyline points="{pts}" fill="none" stroke="#1f5fa6" '
-        f'stroke-width="1.5"/>\n'
-        f'  <text x="{W / 2:.2f}" y="{H - 12:.2f}" text-anchor="middle" '
-        f'font-size="13">{xl}</text>\n'
-        f'  <text x="14" y="{H / 2:.2f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 14 {H / 2:.2f})">{yl}</text>\n'
-        f'</svg>\n')
-
-
-def cmd_plotdata(args) -> int:
-    try:
-        with open(args.input, "r") as fh:
-            raw = fh.read()
-        if args.input.lower().endswith(".json"):
-            header, xs, ys = _series_from_json(json.loads(raw))
-        else:
-            header, xs, ys = _series_from_csv(raw)
-        _check_plottable(xs, ys)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            OverflowError) as exc:
-        print(f"bsl: malformed plotdata input: {exc}", file=sys.stderr)
-        return 5
-    lines = [header]
-    lines.extend(f"{x!r},{y!r}" for x, y in zip(xs, ys))
-    _write(args.out, "\n".join(lines) + "\n")
-    if args.svg:
-        _atomic_write_text(args.svg, _svg_text(header, xs, ys))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -387,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--side", type=_side_type, default="M")
     sp.add_argument("--include-zero", action="store_true")
-    sp.add_argument("--dump-profile", metavar="CSV", type=_out_path)
+    sp.add_argument("--dump-profile", metavar="CSV", type=_dump_path)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("compare", help="compare the two quotient spectra")
@@ -408,12 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed_type, default=0)
     sp.add_argument("--out", type=_out_path)
     sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("plotdata", help="CSV/SVG series from a report")
-    sp.add_argument("input", help="report JSON or profile CSV")
-    sp.add_argument("--out", type=_out_path)
-    sp.add_argument("--svg", type=_out_path)
-    sp.set_defaults(func=cmd_plotdata)
 
     return p
 

@@ -29,13 +29,11 @@ quotients of these with no cancelling difference, so they hold to
 rounding wherever the fiber term is finite.  This module holds only the
 metric in that factored form; the metric evaluated on tangent vectors,
 and the closed forms the profiles reproduce, live only in the test suite.
+It writes no files: the command line formats and writes profile dumps.
 """
 
 import hashlib
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Union
@@ -397,49 +395,3 @@ def laplacian_identity_residual(m: MetricSpec, phi, n: int) -> float:
     band = slice(max(lo, 1), n + 1 - max(hi, 1))
     return float(np.max(np.abs(lhs[band] - rhs[band] - drift[band])))
 
-
-# ---------------------------------------------------------------------------
-# profile dumps
-
-
-def _atomic_write_text(path: str, text: str):
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".bsl-tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def profile_csv_text(p: OrbitProfile) -> str:
-    h = mean_curvature(p)
-    lines = ["t,w,h"]
-    for ti, wi, hi in zip(p.t, p.w, h):
-        lines.append(f"{float(ti)!r},{float(wi)!r},{float(hi)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def profile_sidecar(p: OrbitProfile, m: MetricSpec) -> dict:
-    return {
-        "entry": p.entry_id,
-        "side": p.side,
-        "n": p.n,
-        "L": p.L,
-        "endpoints": list(p.endpoints),
-        "Q": m.fiber_scale,
-        "warp_scale": m.warp_scale if m.warp_u is not None else 0.0,
-    }
-
-
-def write_profile(p: OrbitProfile, m: MetricSpec, csv_path: str) -> str:
-    """Dump a profile as CSV plus a JSON sidecar; returns the sidecar path."""
-    _atomic_write_text(csv_path, profile_csv_text(p))
-    root, ext = os.path.splitext(csv_path)
-    sidecar = (root if ext.lower() == ".csv" else csv_path) + ".json"
-    _atomic_write_text(sidecar, json.dumps(profile_sidecar(p, m),
-                                           sort_keys=True, indent=2) + "\n")
-    return sidecar

@@ -135,13 +135,6 @@ def compare_basic_spectra(d, m: geometry.MetricSpec, k: int, n: int) -> CompareR
                          isospectral=bool(max_relgap <= tolerance))
 
 
-def compare_csv_text(r: CompareReport) -> str:
-    lines = ["index,lambda_M,lambda_Mprime,relgap"]
-    for i, (a, b, g) in enumerate(zip(r.lambda_m, r.lambda_mprime, r.relgaps), 1):
-        lines.append(f"{i},{a!r},{b!r},{g!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _transport_table(diag, m, u: np.ndarray, prof_mp) -> np.ndarray:
     """Carry a grid table on M to the M' grid through the diagram maps.
 

@@ -1,4 +1,4 @@
-"""Command-line envelope, exit codes, and report post-processing."""
+"""Command-line envelope, exit codes, and output files."""
 
 import dataclasses
 import gc
@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +121,7 @@ def test_profile_dump_builds_each_grid_once(tmp_path, monkeypatch):
         assert sorted(built) == builds, argv[0]
     # the dump is the profile the solve used, as a fresh build writes it
     m = cli.geometry.kaluza_klein("hopf")
-    assert Path(prof).read_text() == cli.geometry.profile_csv_text(orig(m, "P", 128))
+    assert Path(prof).read_text() == cli._profile_csv_text(orig(m, "P", 128))
 
 
 def test_unsupported_diagram_exits_2(capsys):
@@ -156,13 +155,15 @@ def test_bad_arguments_exit_2(capsys):
     for argv in (["spectrum", "--diagram", "hopf"], ["compare", "--diagram", "hopf"],
                  ["warp", "--diagram", "hopf"], ["catalog"]):
         assert main(argv + ["--seed", "1"]) == 2, argv
+    # plotdata is removed, and its exit code 5 with it
+    capsys.readouterr()
+    assert main(["plotdata", "x.json"]) == 2
+    assert "invalid choice: 'plotdata'" in capsys.readouterr().err
 
 
 def exit_code_argvs(tmp_path):
     """One argv per documented exit code, each reached through real input,
     with no patched internals."""
-    malformed = tmp_path / "bad.json"
-    malformed.write_text("{not json")
     out = str(tmp_path / "report.json")
     return {
         0: ["catalog", "--out", out],
@@ -172,7 +173,6 @@ def exit_code_argvs(tmp_path):
         3: ["warp", "--diagram", "hopf", "--grid", "64", "--scales", "1e5"],
         4: ["compare", "--diagram", "hopf", "--grid", "64", "--modes", "1",
             "--expect", "nonisospectral", "--out", out],
-        5: ["plotdata", str(malformed)],
     }
 
 
@@ -285,24 +285,66 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    for name in ("cmd_catalog", "cmd_spectrum", "cmd_verify", "cmd_plotdata"):
+    for name in ("cmd_catalog", "cmd_spectrum", "cmd_verify"):
         monkeypatch.setattr(cli, name, no_work)
     bad = os.path.join(tmp_path, "no-such-dir", "x")
     for argv in (["catalog", "--out", bad],
                  ["spectrum", "--diagram", "hopf", "--out", bad],
-                 ["spectrum", "--diagram", "hopf", "--dump-profile", bad],
-                 ["plotdata", os.path.join(tmp_path, "in.json"), "--svg", bad]):
+                 ["spectrum", "--diagram", "hopf", "--dump-profile", bad]):
         assert main(argv) == 2, argv
         assert "does not exist" in capsys.readouterr().err
-    # an existing directory in place of the output file
+    # an existing directory in place of the output file, or of the
+    # sidecar that a profile dump writes next to its CSV
     here = str(tmp_path)
+    os.mkdir(os.path.join(here, "x.json"))
     for argv in (["spectrum", "--diagram", "hopf", "--grid", "64", "--out", here],
                  ["spectrum", "--diagram", "hopf", "--dump-profile", here],
                  ["catalog", "--out", here],
                  ["verify", "--diagram", "gm", "--out", here + os.sep],
-                 ["plotdata", os.path.join(tmp_path, "in.json"), "--svg", here]):
+                 ["spectrum", "--diagram", "hopf", "--grid", "64",
+                  "--dump-profile", os.path.join(here, "x.csv")]):
         assert main(argv) == 2, argv
         assert "is a directory" in capsys.readouterr().err
+    # a trailing separator names a directory even where none exists yet
+    newdir = os.path.join(here, "newdir") + os.sep
+    assert main(["catalog", "--out", newdir]) == 2
+    assert f"{newdir!r} names a directory, not a file" in capsys.readouterr().err
+    # an empty path would otherwise fall through to stdout
+    assert main(["catalog", "--out", ""]) == 2
+    assert "output path is empty" in capsys.readouterr().err
+    assert sorted(os.listdir(here)) == ["x.json"]
+
+
+def test_out_may_not_overwrite_the_profile_dump(tmp_path, capsys, monkeypatch):
+    def no_profile(*args, **kwargs):
+        raise AssertionError("the profile was built")
+
+    monkeypatch.setattr(cli.geometry, "orbit_profile", no_profile)
+    monkeypatch.chdir(tmp_path)
+    for dump, out in (("y.csv", "y.json"), ("y.csv", "y.csv"),
+                      ("y.csv", os.path.join(tmp_path, "y.json")),
+                      ("prof", "prof.json")):
+        assert main(["spectrum", "--diagram", "hopf", "--grid", "64",
+                     "--modes", "1", "--dump-profile", dump, "--out", out]) == 2
+        assert (f"bsl: --out {out!r} is a file that --dump-profile writes"
+                in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_files_follow_the_umask(tmp_path, umask):
+    # every output is created as open() would create it
+    out = os.path.join(tmp_path, "s.json")
+    prof = os.path.join(tmp_path, "p.csv")
+    old = os.umask(umask)
+    try:
+        assert main(["spectrum", "--diagram", "hopf", "--grid", "64",
+                     "--modes", "1", "--dump-profile", prof, "--out", out]) == 0
+    finally:
+        os.umask(old)
+    for path in (out, prof, os.path.join(tmp_path, "p.json")):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
+    assert sorted(os.listdir(tmp_path)) == ["p.csv", "p.json", "s.json"]
 
 
 def test_modes_beyond_the_coarse_grid_exit_2(capsys):
@@ -453,73 +495,6 @@ def test_an_action_that_ignores_g_is_not_free(tmp_path, monkeypatch, eid):
     assert rc == 0
     assert doc["result"]["freeness"]["bullet_only_identity"] is False
     assert doc["result"]["freeness"]["star_only_identity"] is True
-
-
-def test_plotdata_from_reports(tmp_path):
-    _, _, spec = run_json(tmp_path, "s.json",
-                          ["spectrum", "--diagram", "hopf", "--grid", "128",
-                           "--modes", "3"])
-    out = os.path.join(tmp_path, "s.plot.csv")
-    svg = os.path.join(tmp_path, "s.svg")
-    assert main(["plotdata", spec, "--out", out, "--svg", svg]) == 0
-    lines = Path(out).read_text().strip().splitlines()
-    assert lines[0] == "index,lambda" and len(lines) == 4
-    root = ET.fromstring(Path(svg).read_text())
-    assert root.tag.endswith("svg")
-    assert any(child.tag.endswith("polyline") for child in root)
-
-    _, _, cmp_path = run_json(tmp_path, "c.json",
-                              ["compare", "--diagram", "hopf", "--grid", "128",
-                               "--modes", "2"])
-    out2 = os.path.join(tmp_path, "c.plot.csv")
-    assert main(["plotdata", cmp_path, "--out", out2]) == 0
-    assert Path(out2).read_text().startswith("index,relgap\n")
-
-    _, _, warp_path = run_json(tmp_path, "w.json",
-                               ["warp", "--diagram", "trivial-s2",
-                                "--grid", "128", "--scales", "0.5"])
-    out3 = os.path.join(tmp_path, "w.plot.csv")
-    assert main(["plotdata", warp_path, "--out", out3]) == 0
-    assert Path(out3).read_text().startswith("scale,lambda1_warped\n")
-
-
-def test_plotdata_from_profile_csv(tmp_path):
-    prof = os.path.join(tmp_path, "p.csv")
-    main(["spectrum", "--diagram", "hopf", "--grid", "128", "--modes", "1",
-          "--dump-profile", prof, "--out", os.path.join(tmp_path, "x.json")])
-    out = os.path.join(tmp_path, "p.plot.csv")
-    assert main(["plotdata", prof, "--out", out]) == 0
-    assert Path(out).read_text().startswith("t,w\n")
-
-
-def test_plotdata_rejects_malformed_input(tmp_path, capsys):
-    bad = os.path.join(tmp_path, "bad.json")
-    Path(bad).write_text("{not json")
-    assert main(["plotdata", bad]) == 5
-    missing = os.path.join(tmp_path, "nope.json")
-    assert main(["plotdata", missing]) == 5
-    badcsv = os.path.join(tmp_path, "bad.csv")
-    Path(badcsv).write_text("a,b\n1,2\n")
-    assert main(["plotdata", badcsv]) == 5
-    # verify reports hold no series
-    _, _, vpath = run_json(tmp_path, "v.json",
-                           ["verify", "--diagram", "hopf", "--samples", "10"])
-    assert main(["plotdata", vpath]) == 5
-    # a row with one field, an empty series, a value that is not finite:
-    # each is refused with a message before any output is written
-    svg = os.path.join(tmp_path, "never.svg")
-    for name, text in [
-            ("one_field.csv", "t,w,h\n0.0,1.0,0.0\n0.5\n"),
-            ("empty.json", '{"command": "spectrum", "result": {"modes": []}}'),
-            ("inf.json", '{"command": "compare", "result": {"relgaps": [1e400]}}')]:
-        path = os.path.join(tmp_path, name)
-        Path(path).write_text(text)
-        capsys.readouterr()
-        assert main(["plotdata", path, "--svg", svg]) == 5, name
-        captured = capsys.readouterr()
-        assert captured.out == "", name
-        assert "malformed plotdata input" in captured.err, name
-        assert not os.path.exists(svg), name
 
 
 def test_outputs_are_deterministic(tmp_path):

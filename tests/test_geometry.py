@@ -25,8 +25,8 @@ from bsl.geometry import (
     orbit_space_length,
     star_orbit_volumes,
     warp,
-    write_profile,
 )
+from bsl.cli import main
 
 TWO_PI = 2.0 * math.pi
 
@@ -429,10 +429,13 @@ def test_fingerprints_track_the_metric():
 
 
 def test_write_profile_round_trip(tmp_path):
+    # `spectrum --dump-profile` writes the profile it solved, bitwise
     m = kaluza_klein("hopf")
     p = orbit_profile(m, "M", 64)
     csv_path = os.path.join(tmp_path, "prof.csv")
-    sidecar = write_profile(p, m, csv_path)
+    argv = ["spectrum", "--diagram", "hopf", "--grid", "64", "--modes", "1",
+            "--dump-profile", csv_path, "--out", os.path.join(tmp_path, "s.json")]
+    assert main(argv) == 0
     lines = Path(csv_path).read_text().strip().splitlines()
     assert lines[0] == "t,w,h"
     assert len(lines) == p.n + 2
@@ -440,9 +443,10 @@ def test_write_profile_round_trip(tmp_path):
     assert float(t0) == 0.0 and float(w0) == 0.0
     ti, wi, _ = lines[33].split(",")
     assert float(ti) == p.t[32] and float(wi) == p.w[32]
-    meta = json.loads(Path(sidecar).read_text())
+    meta = json.loads(Path(tmp_path, "prof.json").read_text())
     assert meta["entry"] == "hopf" and meta["side"] == "M"
     assert meta["n"] == 64 and meta["endpoints"] == ["collapsing", "collapsing"]
     # rewriting is atomic and idempotent
-    write_profile(p, m, csv_path)
+    assert main(argv) == 0
     assert Path(csv_path).read_text().strip().splitlines() == lines
+    assert sorted(os.listdir(tmp_path)) == ["prof.csv", "prof.json", "s.json"]

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import bsl.lab as lab
+from bsl.cli import main
 from bsl.diagrams import catalog
 from bsl.eigen import eigenpairs
 from bsl.geometry import GridMismatch, kaluza_klein, orbit_profile, warp
 from bsl.lab import (
     compare_basic_spectra,
-    compare_csv_text,
     extrapolated_spectrum,
     fubini_defect,
     joint_eigenfunction_check,
@@ -55,14 +55,19 @@ def test_strongly_warped_metric_is_not_isospectral():
     assert abs(rep.lambda_m[0] - 8.0) <= 1e-6
 
 
-def test_compare_csv_layout():
+def test_compare_csv_layout(capsys):
     d = catalog("hopf")
     rep = compare_basic_spectra(d, kaluza_klein(d), 2, 128)
-    lines = compare_csv_text(rep).strip().splitlines()
+    assert main(["compare", "--diagram", "hopf", "--grid", "128", "--modes", "2",
+                 "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "index,lambda_M,lambda_Mprime,relgap"
     assert len(lines) == 3
     idx, a, b, g = lines[1].split(",")
     assert idx == "1" and float(a) > 0.0 and float(b) > 0.0 and float(g) >= 0.0
+    # the rows are the report's own values, bitwise
+    assert [float(a), float(b), float(g)] == [rep.lambda_m[0], rep.lambda_mprime[0],
+                                              rep.relgaps[0]]
 
 
 def test_joint_eigenfunction_residuals():
